@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the engine's hot paths: row codec,
 // block build/parse, lzmini, CRC32C, MemTablet insert, tablet write/scan,
-// and the uniqueness fast paths. These are regression guards rather than
-// paper figures; the figure reproductions live in the bench_fig* binaries.
+// the response chunk encode, and the uniqueness fast paths. These are
+// regression guards rather than paper figures; the figure reproductions
+// live in the bench_fig* binaries.
 #include <benchmark/benchmark.h>
 
 #include "core/table.h"
@@ -132,6 +133,81 @@ void BM_TabletScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_TabletScan);
+
+// The "response chunk encode" rung: QueryStream to kQueryChunk row bytes,
+// as the server streams a scan. Args: fan-in (disk tablets, each a time
+// slice across every series, so the merge alternates between all of them)
+// and projected (1 = key columns plus `bytes`). The block cache holds the
+// whole table, so after the first pass this is merge, positioning and
+// encode; per_row is the time per returned row.
+Schema EncodeBenchSchema() {
+  return Schema({Column("network", ColumnType::kInt64),
+                 Column("device", ColumnType::kInt64),
+                 Column("ts", ColumnType::kTimestamp),
+                 Column("bytes", ColumnType::kInt64),
+                 Column("rate", ColumnType::kDouble),
+                 Column("tag", ColumnType::kString)},
+                3);
+}
+
+void BM_QueryStreamEncode(benchmark::State& state) {
+  const int fan_in = static_cast<int>(state.range(0));
+  const bool projected = state.range(1) != 0;
+  constexpr int kDevices = 256;
+  constexpr int kRows = 64 * 1024;
+  MemEnv env;
+  auto clock = std::make_shared<SimClock>(1000 * kMicrosPerWeek);
+  TableOptions opts;
+  opts.block_cache_bytes = 256ull << 20;
+  std::unique_ptr<Table> table;
+  if (!Table::Create(&env, clock, "/bm", "bm", EncodeBenchSchema(), opts,
+                     &table)
+           .ok()) {
+    abort();
+  }
+  const Timestamp t0 = clock->Now() - kMicrosPerHour;
+  const int ticks = kRows / kDevices / fan_in;
+  for (int k = 0; k < fan_in; k++) {
+    std::vector<Row> batch;
+    for (int t = 0; t < ticks; t++) {
+      for (int d = 0; d < kDevices; d++) {
+        const int64_t tick = int64_t{t} * fan_in + k;
+        batch.push_back({Value::Int64(d / 64), Value::Int64(d),
+                         Value::Ts(t0 + tick), Value::Int64(tick * 1500 + d),
+                         Value::Double(tick * 0.5),
+                         Value::String("tag-" + std::to_string(d % 16) +
+                                       "-abcdefghijklmnopqrstuvwxyz")});
+      }
+    }
+    if (!table->InsertBatch(batch).ok() || !table->FlushAll().ok()) abort();
+  }
+  QueryBounds bounds;
+  if (projected) bounds.projection = {3};
+  std::string chunk;
+  uint64_t rows = 0;
+  for (auto _ : state) {
+    std::unique_ptr<QueryStream> qs;
+    if (!table->NewQueryStream(bounds, &qs).ok()) abort();
+    while (true) {
+      bool have = false, exhausted = false;
+      if (!qs->NextEncoded(0, &chunk, &have, &exhausted).ok()) abort();
+      if (have) rows++;
+      if (exhausted) break;
+      if (chunk.size() >= 64 * 1024) chunk.clear();
+    }
+  }
+  if (rows != static_cast<uint64_t>(state.iterations()) * ticks * kDevices *
+                  fan_in) {
+    abort();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_QueryStreamEncode)
+    ->ArgsProduct({{1, 8, 43}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TableInsertBatch(benchmark::State& state) {
   MemEnv env;

@@ -383,7 +383,9 @@ Status ClusterClient::Query(const std::string& table,
       result->more_available = true;
       return Status::OK();
     }
-    result->rows.push_back(merge.row());
+    Row row;
+    LT_RETURN_IF_ERROR(merge.ReadRow(&row));
+    result->rows.push_back(std::move(row));
     LT_RETURN_IF_ERROR(merge.Next());
   }
   LT_RETURN_IF_ERROR(merge.status());

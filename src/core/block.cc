@@ -1,5 +1,7 @@
 #include "core/block.h"
 
+#include <cstring>
+
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/lzmini.h"
@@ -287,53 +289,37 @@ Status BlockReader::EnsureColumn(size_t c) const {
   return Status::OK();
 }
 
-Status BlockReader::MaterializeValue(size_t c, size_t i, Value* out) const {
-  const ColumnValues& col = contents_->column(c);
-  if (i >= col.size()) return Status::Corruption("chunk row count mismatch");
-  ColumnType type = schema_->columns()[c].type;
-  switch (col.arm) {
-    case ColumnValues::Arm::kInt: {
-      int64_t v = col.ints[i];
-      if (type == ColumnType::kInt32) {
-        if (v < INT32_MIN || v > INT32_MAX) {
-          return Status::Corruption("int32 cell out of range");
-        }
-        *out = Value::Int32(static_cast<int32_t>(v));
-        return Status::OK();
+Status BlockReader::CellAt(size_t c, size_t i, Value* out) const {
+  const ResolvedCol& r = cols_[c];
+  if (r.kind == ResolvedCol::Kind::kDefault) {
+    *out = schema_->columns()[c].default_value;
+    return Status::OK();
+  }
+  if (i >= r.rows) return Status::Corruption("chunk row count mismatch");
+  switch (r.kind) {
+    case ResolvedCol::Kind::kInt:
+      *out = Value::Int64(r.ints[i]);
+      return Status::OK();
+    case ResolvedCol::Kind::kInt32:
+      if (r.ints[i] < INT32_MIN || r.ints[i] > INT32_MAX) {
+        return Status::Corruption("int32 cell out of range");
       }
-      if (type == ColumnType::kInt64) {
-        *out = Value::Int64(v);
-        return Status::OK();
-      }
-      if (type == ColumnType::kTimestamp) {
-        *out = Value::Ts(v);
-        return Status::OK();
-      }
-      break;
-    }
-    case ColumnValues::Arm::kDouble:
-      if (type == ColumnType::kDouble) {
-        *out = Value::Double(col.dbls[i]);
-        return Status::OK();
-      }
-      break;
-    case ColumnValues::Arm::kBytes:
-      if (type == ColumnType::kString) {
-        *out = Value::String(col.strs[i]);
-        return Status::OK();
-      }
-      if (type == ColumnType::kBlob) {
-        *out = Value::Blob(col.strs[i]);
-        return Status::OK();
-      }
-      break;
-    case ColumnValues::Arm::kNone:
+      *out = Value::Int32(static_cast<int32_t>(r.ints[i]));
+      return Status::OK();
+    case ResolvedCol::Kind::kDouble:
+      *out = Value::Double(r.dbls[i]);
+      return Status::OK();
+    case ResolvedCol::Kind::kBytes:
+      *out = Value::String(r.strs[i]);
+      return Status::OK();
+    case ResolvedCol::Kind::kDefault:
+    case ResolvedCol::Kind::kMismatch:
       break;
   }
   return Status::Corruption("chunk encoding does not match column type");
 }
 
-Status BlockReader::RowAt(size_t i, Row* out) const {
+Status BlockReader::RowAt(size_t i, Row* out) {
   if (!contents_ || i >= contents_->num_rows()) {
     return Status::InvalidArgument("row index");
   }
@@ -343,68 +329,175 @@ Status BlockReader::RowAt(size_t i, Row* out) const {
     Slice in(c.payload.data() + c.offsets[i], end - c.offsets[i]);
     return DecodeRow(&in, *schema_, out);
   }
-  if (c.num_columns() != schema_->num_columns()) {
-    return Status::Corruption("chunk count does not match schema");
-  }
-  out->clear();
-  out->reserve(c.num_columns());
-  for (size_t col = 0; col < c.num_columns(); col++) {
-    if (needed_ && !(*needed_)[col]) {
-      out->push_back(schema_->columns()[col].default_value);
-      continue;
-    }
-    LT_RETURN_IF_ERROR(EnsureColumn(col));
-    Value v;
-    LT_RETURN_IF_ERROR(MaterializeValue(col, i, &v));
-    out->push_back(std::move(v));
+  const size_t ncols = schema_->num_columns();
+  if (resolved_ < ncols) LT_RETURN_IF_ERROR(Resolve(ncols));
+  out->resize(ncols);
+  for (size_t col = 0; col < ncols; col++) {
+    LT_RETURN_IF_ERROR(CellAt(col, i, &(*out)[col]));
   }
   return Status::OK();
 }
 
-Status BlockReader::KeyCompareAt(size_t i, const Key& prefix, int* cmp) const {
+Status BlockReader::Resolve(size_t n) {
   const BlockContents& bc = *contents_;
-  *cmp = 0;
-  if (bc.columnar) {
-    if (bc.num_columns() != schema_->num_columns()) {
-      return Status::Corruption("chunk count does not match schema");
+  if (bc.num_columns() != schema_->num_columns()) {
+    return Status::Corruption("chunk count does not match schema");
+  }
+  cols_.resize(bc.num_columns());
+  for (; resolved_ < n; resolved_++) {
+    const size_t c = resolved_;
+    const Column& column = schema_->columns()[c];
+    ResolvedCol& r = cols_[c];
+    if (needed_ && !(*needed_)[c]) {
+      r.kind = ResolvedCol::Kind::kDefault;
+      r.default_bytes.clear();
+      EncodeValue(&r.default_bytes, column.default_value, column.type);
+      continue;
     }
-    // Only the compared key columns are materialized — a binary search
-    // touches no value chunks.
-    for (size_t c = 0; c < prefix.size() && c < schema_->num_key_columns();
-         c++) {
-      LT_RETURN_IF_ERROR(EnsureColumn(c));
-      Value v;
-      LT_RETURN_IF_ERROR(MaterializeValue(c, i, &v));
-      int r = v.Compare(prefix[c]);
-      if (r != 0) {
-        *cmp = r;
-        return Status::OK();
-      }
+    LT_RETURN_IF_ERROR(EnsureColumn(c));
+    const ColumnValues& col = bc.column(c);
+    r.rows = col.size();
+    r.kind = ResolvedCol::Kind::kMismatch;
+    switch (col.arm) {
+      case ColumnValues::Arm::kInt:
+        r.ints = col.ints.data();
+        if (column.type == ColumnType::kInt32) {
+          r.kind = ResolvedCol::Kind::kInt32;
+        } else if (column.type == ColumnType::kInt64 ||
+                   column.type == ColumnType::kTimestamp) {
+          r.kind = ResolvedCol::Kind::kInt;
+        }
+        break;
+      case ColumnValues::Arm::kDouble:
+        r.dbls = col.dbls.data();
+        if (column.type == ColumnType::kDouble) {
+          r.kind = ResolvedCol::Kind::kDouble;
+        }
+        break;
+      case ColumnValues::Arm::kBytes:
+        r.strs = col.strs.data();
+        if (column.type == ColumnType::kString ||
+            column.type == ColumnType::kBlob) {
+          r.kind = ResolvedCol::Kind::kBytes;
+        }
+        break;
+      case ColumnValues::Arm::kNone:
+        break;
+    }
+  }
+  return Status::OK();
+}
+
+Status BlockReader::KeyAt(size_t i, Row* key) {
+  if (!contents_ || i >= contents_->num_rows()) {
+    return Status::InvalidArgument("row index");
+  }
+  const BlockContents& bc = *contents_;
+  const size_t nkeys = schema_->num_key_columns();
+  key->resize(nkeys);
+  if (!bc.columnar) {
+    // Key columns lead the row encoding, so we decode only them.
+    Slice in(bc.payload.data() + bc.offsets[i],
+             (i + 1 < bc.offsets.size() ? bc.offsets[i + 1] : bc.data_end) -
+                 bc.offsets[i]);
+    for (size_t c = 0; c < nkeys; c++) {
+      LT_RETURN_IF_ERROR(DecodeValue(&in, schema_->columns()[c].type,
+                                     &(*key)[c]));
     }
     return Status::OK();
   }
-  // Key columns lead the row encoding, so we decode only them.
-  size_t end = i + 1 < bc.offsets.size() ? bc.offsets[i + 1] : bc.data_end;
-  Slice in(bc.payload.data() + bc.offsets[i], end - bc.offsets[i]);
-  for (size_t c = 0; c < prefix.size() && c < schema_->num_key_columns(); c++) {
-    Value v;
-    LT_RETURN_IF_ERROR(DecodeValue(&in, schema_->columns()[c].type, &v));
-    int r = v.Compare(prefix[c]);
-    if (r != 0) {
-      *cmp = r;
-      return Status::OK();
+  if (resolved_ < nkeys) LT_RETURN_IF_ERROR(Resolve(nkeys));
+  for (size_t c = 0; c < nkeys; c++) {
+    LT_RETURN_IF_ERROR(CellAt(c, i, &(*key)[c]));
+  }
+  return Status::OK();
+}
+
+Status BlockReader::AppendEncodedRow(size_t i, std::string* out) {
+  if (!contents_ || i >= contents_->num_rows()) {
+    return Status::InvalidArgument("row index");
+  }
+  if (!contents_->columnar) {
+    Row row;
+    LT_RETURN_IF_ERROR(RowAt(i, &row));
+    EncodeRow(out, *schema_, row);
+    return Status::OK();
+  }
+  if (resolved_ < schema_->num_columns()) {
+    LT_RETURN_IF_ERROR(Resolve(schema_->num_columns()));
+  }
+  // Each cell is written exactly as EncodeValue would write the Value
+  // that CellAt builds, and fails where CellAt fails. The row's worst-case
+  // size is reserved once and the cells are written in place, then the
+  // string is trimmed: one resize per row instead of an append per cell.
+  size_t bound = 0;
+  for (const ResolvedCol& r : cols_) {
+    if (r.kind == ResolvedCol::Kind::kDefault) {
+      bound += r.default_bytes.size();
+    } else if (r.kind == ResolvedCol::Kind::kBytes && i < r.rows) {
+      bound += 10 + r.strs[i].size();
+    } else {
+      bound += 10;
     }
   }
+  const size_t start = out->size();
+  out->resize(start + bound);
+  char* p = out->data() + start;
+  auto fail = [&](const char* msg) {
+    out->resize(start);
+    return Status::Corruption(msg);
+  };
+  for (const ResolvedCol& r : cols_) {
+    if (r.kind == ResolvedCol::Kind::kDefault) {
+      memcpy(p, r.default_bytes.data(), r.default_bytes.size());
+      p += r.default_bytes.size();
+      continue;
+    }
+    if (i >= r.rows) return fail("chunk row count mismatch");
+    switch (r.kind) {
+      case ResolvedCol::Kind::kInt:
+        p = EncodeVarint64(p, ZigZagEncode(r.ints[i]));
+        break;
+      case ResolvedCol::Kind::kInt32:
+        if (r.ints[i] < INT32_MIN || r.ints[i] > INT32_MAX) {
+          return fail("int32 cell out of range");
+        }
+        p = EncodeVarint64(p, ZigZagEncode(r.ints[i]));
+        break;
+      case ResolvedCol::Kind::kDouble: {
+        uint64_t bits;
+        static_assert(sizeof(bits) == sizeof(double));
+        memcpy(&bits, &r.dbls[i], 8);
+        EncodeFixed64(p, bits);
+        p += 8;
+        break;
+      }
+      case ResolvedCol::Kind::kBytes: {
+        const std::string& v = r.strs[i];
+        p = EncodeVarint64(p, v.size());
+        memcpy(p, v.data(), v.size());
+        p += v.size();
+        break;
+      }
+      case ResolvedCol::Kind::kDefault:
+        break;
+      case ResolvedCol::Kind::kMismatch:
+        return fail("chunk encoding does not match column type");
+    }
+  }
+  out->resize(static_cast<size_t>(p - out->data()));
   return Status::OK();
 }
 
 Status BlockReader::SeekFirst(const Key& prefix, bool or_equal,
-                              size_t* index) const {
+                              size_t* index) {
+  // Probes decode only key cells; a columnar block touches no value chunk.
+  Row key;
   size_t lo = 0, hi = num_rows();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    int cmp;
-    LT_RETURN_IF_ERROR(KeyCompareAt(mid, prefix, &cmp));
+    LT_RETURN_IF_ERROR(KeyAt(mid, &key));
+    int cmp = schema_->CompareKeyToPrefix(key, prefix);
     bool before = or_equal ? cmp < 0 : cmp <= 0;
     if (before) {
       lo = mid + 1;

@@ -183,6 +183,7 @@ class BlockReader {
     schema_ = schema;
     contents_ = std::move(contents);
     stats_ = stats;
+    resolved_ = 0;
   }
 
   /// Projection hint for columnar blocks: `needed` has one entry per schema
@@ -193,6 +194,7 @@ class BlockReader {
   /// ignore the hint. The pointer must outlive the reader.
   void set_needed_columns(const std::vector<char>* needed) {
     needed_ = needed;
+    resolved_ = 0;
   }
 
   size_t num_rows() const { return contents_ ? contents_->num_rows() : 0; }
@@ -200,24 +202,58 @@ class BlockReader {
   const BlockContents* contents() const { return contents_.get(); }
 
   /// Decodes row i (rows are indexed in ascending key order).
-  Status RowAt(size_t i, Row* out) const;
+  Status RowAt(size_t i, Row* out);
+
+  /// Decodes only the key cells of row i into (*key)[0, num_key_columns),
+  /// resizing *key to exactly that. Columnar blocks touch only key chunks.
+  Status KeyAt(size_t i, Row* key);
+
+  /// Appends row i's EncodeRow bytes under the reader's schema to *out —
+  /// the same bytes as EncodeRow over RowAt(i), with the same errors, but
+  /// a columnar block writes them straight from its decoded column arrays
+  /// (resolved once per block) and builds no Row. Row-wise blocks decode
+  /// and re-encode. On error *out is unchanged.
+  Status AppendEncodedRow(size_t i, std::string* out);
 
   /// Index of the first row whose key-vs-prefix comparison is >= 0
   /// (`or_equal`) or > 0 (!`or_equal`); returns num_rows() if none.
   /// Used to position cursors at a query's minimum key bound.
-  Status SeekFirst(const Key& prefix, bool or_equal, size_t* index) const;
+  Status SeekFirst(const Key& prefix, bool or_equal, size_t* index);
 
  private:
-  Status KeyCompareAt(size_t i, const Key& prefix, int* cmp) const;
   Status EnsureColumn(size_t c) const;
-  /// Maps the decoded chunk arm to a typed cell of column `c` at row `i`.
-  /// The column must be ensured. Arm/type mismatch is Corruption.
-  Status MaterializeValue(size_t c, size_t i, Value* out) const;
+
+  /// One schema column of a columnar block, resolved for per-row access:
+  /// its chunk decoded and its arm matched to the column type up front, so
+  /// each row only indexes an array. A mismatch is kept, not returned, so
+  /// a row fails at its first bad cell in column order, as it always did.
+  struct ResolvedCol {
+    enum class Kind : uint8_t { kInt, kInt32, kDouble, kBytes, kDefault,
+                                kMismatch };
+    Kind kind = Kind::kDefault;
+    size_t rows = 0;  // Cells the decoded array holds.
+    const int64_t* ints = nullptr;
+    const double* dbls = nullptr;
+    const std::string* strs = nullptr;
+    std::string default_bytes;  // kDefault: the column default, encoded.
+  };
+  /// Extends the resolution of the current columnar block to its first
+  /// `n` columns: KeyAt needs the key columns, RowAt and AppendEncodedRow
+  /// all of them.
+  Status Resolve(size_t n);
+  /// The typed cell of resolved column `c` at row `i`: the column default
+  /// when unneeded; Corruption on a short array, an int32 cell out of
+  /// range, or an arm that does not match the column type.
+  Status CellAt(size_t c, size_t i, Value* out) const;
 
   const Schema* schema_ = nullptr;
   std::shared_ptr<const BlockContents> contents_;
   TableStats* stats_ = nullptr;
   const std::vector<char>* needed_ = nullptr;
+  // Columns [0, resolved_) of cols_ describe contents_ under needed_;
+  // Reset and set_needed_columns start over.
+  std::vector<ResolvedCol> cols_;
+  size_t resolved_ = 0;
 };
 
 /// Compresses and frames a row-wise block payload (CRC + lzmini).

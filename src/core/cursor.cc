@@ -23,7 +23,7 @@ MergingCursor::MergingCursor(const Schema* schema,
 }
 
 bool MergingCursor::Before(size_t a, size_t b) const {
-  int cmp = schema_->CompareKeys(children_[a]->row(), children_[b]->row());
+  int cmp = schema_->CompareKeys(children_[a]->key(), children_[b]->key());
   if (direction_ == Direction::kDescending) cmp = -cmp;
   return cmp < 0;
 }
@@ -48,18 +48,18 @@ void MergingCursor::Fail(Status s) {
 
 Status MergingCursor::Next() {
   if (heap_.empty()) return status_;
-  Cursor* top = children_[heap_[0]].get();
-  Status s = top->Next();
+  Cursor* child = top();
+  Status s = child->Next();
   if (!s.ok()) {
     Fail(s);
     return status_;
   }
-  if (!top->status().ok()) {
-    Fail(top->status());
+  if (!child->status().ok()) {
+    Fail(child->status());
     return status_;
   }
-  if (top->Valid()) {
-    SiftDown(0);  // Re-place the advanced child by its new row.
+  if (child->Valid()) {
+    SiftDown(0);  // Re-place the advanced child by its new key.
   } else {
     heap_[0] = heap_.back();  // Exhausted: drop it from the tournament.
     heap_.pop_back();

@@ -6,9 +6,11 @@
 #define LITTLETABLE_CORE_CURSOR_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/bounds.h"
+#include "core/row_codec.h"
 #include "core/schema.h"
 
 namespace lt {
@@ -16,13 +18,26 @@ namespace lt {
 /// An ordered stream of rows. A freshly created cursor is already positioned
 /// on its first row (Valid() is false for an empty stream). All rows stream
 /// in the cursor's scan direction by primary key.
+///
+/// Positioning reads only key cells: merge ordering, trailing key bounds and
+/// the timestamp filter all look at key(), so a cursor over columnar blocks
+/// decodes nothing else while it steps. The full row comes only on demand,
+/// through ReadRow or AppendEncodedRow, for the rows a caller keeps.
 class Cursor {
  public:
   virtual ~Cursor() = default;
 
   virtual bool Valid() const = 0;
-  /// The current row; requires Valid().
-  virtual const Row& row() const = 0;
+  /// The current row's key cells: entries [0, num_key_columns) are the
+  /// primary key in schema order; any entries past them are unspecified.
+  /// Requires Valid().
+  virtual const Row& key() const = 0;
+  /// Copies the full current row into *out. Requires Valid().
+  virtual Status ReadRow(Row* out) = 0;
+  /// Appends the current row's EncodeRow bytes under `schema` (the schema
+  /// the cursor's rows conform to) to *out. On error *out is unchanged.
+  /// Requires Valid().
+  virtual Status AppendEncodedRow(const Schema& schema, std::string* out) = 0;
   /// Advances to the next row in scan direction.
   virtual Status Next() = 0;
   /// First error encountered, if any (an erroring cursor becomes invalid).
@@ -53,8 +68,14 @@ class VectorCursor final : public Cursor {
   bool Valid() const override {
     return pos_ >= 0 && pos_ < static_cast<int64_t>(rows_.size());
   }
-  const Row& row() const override {
-    return rows_[static_cast<size_t>(pos_)];
+  const Row& key() const override { return row(); }
+  Status ReadRow(Row* out) override {
+    *out = row();
+    return Status::OK();
+  }
+  Status AppendEncodedRow(const Schema& schema, std::string* out) override {
+    EncodeRow(out, schema, row());
+    return Status::OK();
   }
   Status Next() override {
     if (Valid()) pos_ += direction_ == Direction::kAscending ? 1 : -1;
@@ -63,6 +84,8 @@ class VectorCursor final : public Cursor {
   Status status() const override { return Status::OK(); }
 
  private:
+  const Row& row() const { return rows_[static_cast<size_t>(pos_)]; }
+
   std::vector<Row> rows_;
   Direction direction_;
   int64_t pos_;
@@ -70,7 +93,7 @@ class VectorCursor final : public Cursor {
 
 /// Merge-sorts N child cursors into one stream via an N-way tournament
 /// heap: heap_ holds the indices of the still-valid children, ordered by
-/// their current row's key (direction-adjusted), so advancing costs
+/// their current key (direction-adjusted), so advancing costs
 /// O(log N) comparisons instead of the previous O(N) rescan. Children must
 /// share the direction and never produce duplicate keys (LittleTable
 /// enforces key uniqueness at insert, §3.4.4).
@@ -80,11 +103,16 @@ class MergingCursor final : public Cursor {
                 Direction direction);
 
   bool Valid() const override { return !heap_.empty(); }
-  const Row& row() const override { return children_[heap_[0]]->row(); }
+  const Row& key() const override { return top()->key(); }
+  Status ReadRow(Row* out) override { return top()->ReadRow(out); }
+  Status AppendEncodedRow(const Schema& schema, std::string* out) override {
+    return top()->AppendEncodedRow(schema, out);
+  }
   Status Next() override;
   Status status() const override { return status_; }
 
  private:
+  Cursor* top() const { return children_[heap_[0]].get(); }
   /// True if child a's current row precedes child b's in scan direction.
   bool Before(size_t a, size_t b) const;
   /// Restores the heap property below heap_[i].

@@ -1052,9 +1052,11 @@ Status Table::MaybeMerge(Timestamp now) {
   // loses nothing — the next attempt re-picks the same inputs.
   MergingCursor merged(schema.get(), std::move(cursors), Direction::kAscending);
   Status ws;
+  Row row;
   while (merged.Valid()) {
-    const Row& row = merged.row();
-    if (row[schema->ts_index()].AsInt() >= cutoff) {
+    if (merged.key()[schema->ts_index()].AsInt() >= cutoff) {
+      ws = merged.ReadRow(&row);
+      if (!ws.ok()) break;
       ws = writer.Add(row);
       if (!ws.ok()) break;
     }
@@ -1276,8 +1278,9 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
 
 QueryStream::~QueryStream() { Finish(); }
 
-Status QueryStream::Next(uint64_t max_scan_rows, Row* row, bool* have_row,
-                         bool* exhausted) {
+template <typename Emit>
+Status QueryStream::Pull(uint64_t max_scan_rows, const Emit& emit,
+                         bool* have_row, bool* exhausted) {
   *have_row = false;
   *exhausted = false;
   if (done_) {
@@ -1286,8 +1289,10 @@ Status QueryStream::Next(uint64_t max_scan_rows, Row* row, bool* have_row,
   }
   uint64_t steps = 0;
   while (merged_->Valid()) {
-    const Row& r = merged_->row();
-    bool match = bounds_.TsInRange(r[schema_->ts_index()].AsInt());
+    // The filter and the limit read key cells only; the row itself is
+    // built (or encoded) just for the rows the caller receives.
+    const Row& key = merged_->key();
+    bool match = bounds_.TsInRange(key[schema_->ts_index()].AsInt());
     if (match && returned_ >= limit_) {
       // The limit+1'th matching row proves there is more: stop without
       // consuming it so a continuation query re-finds it.
@@ -1296,7 +1301,7 @@ Status QueryStream::Next(uint64_t max_scan_rows, Row* row, bool* have_row,
       *exhausted = true;
       return Status::OK();
     }
-    if (match) *row = r;
+    if (match) LT_RETURN_IF_ERROR(emit(merged_.get()));
     LT_RETURN_IF_ERROR(merged_->Next());
     LT_RETURN_IF_ERROR(merged_->status());
     if (match) {
@@ -1309,6 +1314,21 @@ Status QueryStream::Next(uint64_t max_scan_rows, Row* row, bool* have_row,
   done_ = true;
   *exhausted = true;
   return merged_->status();
+}
+
+Status QueryStream::Next(uint64_t max_scan_rows, Row* row, bool* have_row,
+                         bool* exhausted) {
+  return Pull(
+      max_scan_rows, [row](Cursor* c) { return c->ReadRow(row); }, have_row,
+      exhausted);
+}
+
+Status QueryStream::NextEncoded(uint64_t max_scan_rows, std::string* out,
+                                bool* have_row, bool* exhausted) {
+  return Pull(
+      max_scan_rows,
+      [this, out](Cursor* c) { return c->AppendEncodedRow(*schema_, out); },
+      have_row, exhausted);
 }
 
 void QueryStream::Finish() {
@@ -1463,11 +1483,10 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
     Row best;
     Timestamp best_ts = 0;
     while (merged.Valid()) {
-      const Row& r = merged.row();
-      Timestamp ts = r[schema->ts_index()].AsInt();
+      Timestamp ts = merged.key()[schema->ts_index()].AsInt();
       if (ts >= cutoff) {
         if (!have_best || ts > best_ts) {
-          best = r;
+          LT_RETURN_IF_ERROR(merged.ReadRow(&best));
           best_ts = ts;
           have_best = true;
         }

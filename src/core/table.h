@@ -78,6 +78,14 @@ class QueryStream {
   Status Next(uint64_t max_scan_rows, Row* row, bool* have_row,
               bool* exhausted);
 
+  /// Next, but a returned row is appended to *out as its EncodeRow bytes
+  /// under schema() instead of being copied into a Row — the server's
+  /// chunk encoder, which thereby never builds a Row for a columnar block.
+  /// The bytes equal EncodeRow over the row Next would return; on error
+  /// *out is unchanged.
+  Status NextEncoded(uint64_t max_scan_rows, std::string* out,
+                     bool* have_row, bool* exhausted);
+
   /// True once the scan stopped at the row limit with rows remaining.
   bool more_available() const { return more_available_; }
   /// Rows decoded so far (the Figure 9 numerator), live during the scan.
@@ -94,6 +102,12 @@ class QueryStream {
  private:
   friend class Table;
   QueryStream() = default;
+
+  /// The shared loop of Next and NextEncoded; `emit` hands the current
+  /// matching row to the caller.
+  template <typename Emit>
+  Status Pull(uint64_t max_scan_rows, const Emit& emit, bool* have_row,
+              bool* exhausted);
 
   Table* table_ = nullptr;
   std::shared_ptr<const Schema> schema_;

@@ -12,6 +12,11 @@ namespace lt {
 // Cursor over one tablet. Positions lazily load blocks; iteration order is
 // the scan direction. The cursor holds a shared_ptr to its reader so merges
 // can drop tablets while queries stream from them.
+//
+// Positioning decodes only the key cells of each row, into key_; the full
+// row is built (ReadRow) or encoded straight from the block's column
+// arrays (AppendEncodedRow) only when the caller asks for it. Tablets
+// written under an older schema materialize and translate the row instead.
 class TabletCursor final : public Cursor {
  public:
   TabletCursor(std::shared_ptr<const TabletReader> reader,
@@ -27,8 +32,8 @@ class TabletCursor final : public Cursor {
     needs_translation_ =
         current_schema_->version() != reader_->tablet_schema().version();
     // Projection pushdown: mark the columns row materialization must decode
-    // — key columns (timestamp filters, merge ordering, trailing bounds)
-    // plus the projected set, positionally stable across schema versions
+    // — key columns (positioning reads them regardless) plus the projected
+    // set, positionally stable across schema versions
     // (§3.5 evolution only appends/widens). Projected indexes beyond this
     // tablet's schema are appended columns; TranslateRow fills their
     // defaults. Only columnar blocks consult the hint.
@@ -50,8 +55,24 @@ class TabletCursor final : public Cursor {
   }
 
   bool Valid() const override { return valid_; }
-  const Row& row() const override { return row_; }
+  const Row& key() const override { return key_; }
   Status status() const override { return status_; }
+
+  Status ReadRow(Row* out) override {
+    if (!needs_translation_) return block_.RowAt(row_idx_, out);
+    Row raw;
+    LT_RETURN_IF_ERROR(block_.RowAt(row_idx_, &raw));
+    *out = current_schema_->TranslateRow(reader_->tablet_schema(), raw);
+    return Status::OK();
+  }
+
+  Status AppendEncodedRow(const Schema& schema, std::string* out) override {
+    if (!needs_translation_) return block_.AppendEncodedRow(row_idx_, out);
+    Row row;
+    LT_RETURN_IF_ERROR(ReadRow(&row));
+    EncodeRow(out, schema, row);
+    return Status::OK();
+  }
 
   Status Next() override {
     if (!valid_) return status_;
@@ -139,40 +160,37 @@ class TabletCursor final : public Cursor {
         row_idx_ = end_row - 1;
       }
     }
-    LoadCurrentRow();
+    LoadCurrentKey();
   }
 
-  // Decodes the row at (block_idx_, row_idx_), applies the trailing key
-  // bound, and translates schemas if needed.
-  void LoadCurrentRow() {
+  // Decodes the key cells at (block_idx_, row_idx_) and applies the
+  // trailing key bound. Key columns are never widened or appended by schema
+  // evolution, so the tablet's key cells are already the current schema's.
+  void LoadCurrentKey() {
     if (!block_loaded_) {
       Status s = LoadBlockAt(block_idx_);
       if (!s.ok()) return Fail(s);
     }
-    Row raw;
-    Status s = block_.RowAt(row_idx_, &raw);
+    Status s = block_.KeyAt(row_idx_, &key_);
     if (!s.ok()) return Fail(s);
     if (scanned_) scanned_->fetch_add(1, std::memory_order_relaxed);
 
     // Trailing bound: max_key when ascending, min_key when descending.
     const Schema& ts_schema = reader_->tablet_schema();
     if (direction_ == Direction::kAscending && max_key_) {
-      int c = ts_schema.CompareKeyToPrefix(raw, max_key_->prefix);
+      int c = ts_schema.CompareKeyToPrefix(key_, max_key_->prefix);
       if (max_key_->inclusive ? c > 0 : c >= 0) {
         valid_ = false;
         return;
       }
     }
     if (direction_ == Direction::kDescending && min_key_) {
-      int c = ts_schema.CompareKeyToPrefix(raw, min_key_->prefix);
+      int c = ts_schema.CompareKeyToPrefix(key_, min_key_->prefix);
       if (min_key_->inclusive ? c < 0 : c <= 0) {
         valid_ = false;
         return;
       }
     }
-    row_ = needs_translation_
-               ? current_schema_->TranslateRow(ts_schema, raw)
-               : std::move(raw);
     valid_ = true;
   }
 
@@ -202,7 +220,7 @@ class TabletCursor final : public Cursor {
         row_idx_--;
       }
     }
-    LoadCurrentRow();
+    LoadCurrentKey();
   }
 
   std::shared_ptr<const TabletReader> reader_;
@@ -221,7 +239,7 @@ class TabletCursor final : public Cursor {
   bool block_loaded_ = false;
   size_t block_idx_ = 0;
   size_t row_idx_ = 0;
-  Row row_;
+  Row key_;  // Key cells of the current row; reused across steps.
   bool valid_ = false;
   Status status_;
 };

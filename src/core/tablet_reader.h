@@ -72,8 +72,9 @@ class TabletReader : public std::enable_shared_from_this<TabletReader> {
   /// bounds.direction order, translated to `current_schema` (§3.5).
   /// Timestamp filtering happens downstream: tablets are selected by
   /// timespan, but their rows generally straddle the exact bounds (§3.2).
-  /// `scanned` (optional) is incremented for every row decoded — the
-  /// rows-scanned side of the Figure 9 efficiency ratio. `trace` (optional)
+  /// `scanned` (optional) is incremented for every row the cursor positions
+  /// on (its key cells decoded) — the rows-scanned side of the Figure 9
+  /// efficiency ratio. `trace` (optional)
   /// accumulates per-query block-read and cache-hit counts; it must outlive
   /// the cursor and is touched only from the cursor's thread.
   Status NewCursor(const QueryBounds& bounds, const Schema* current_schema,

@@ -422,6 +422,13 @@ Status Client::QueryLocked(const std::string& table, const QueryBounds& bounds,
       if (version != schema->version()) {
         return Status::Aborted("schema changed mid-query");
       }
+      // Every encoded cell takes at least one byte, so `count` is capped by
+      // the chunk's size before it sizes an allocation.
+      const size_t fit = in.size() / std::max<size_t>(1, schema->num_columns());
+      const size_t want = result->rows.size() + std::min<size_t>(count, fit);
+      if (want > result->rows.capacity()) {
+        result->rows.reserve(std::max(want, 2 * result->rows.capacity()));
+      }
       for (uint32_t i = 0; i < count; i++) {
         Row row;
         LT_RETURN_IF_ERROR(DecodeRow(&in, *schema, &row));

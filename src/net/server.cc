@@ -40,6 +40,31 @@ constexpr size_t kChunkTargetBytes = 64 * 1024;
 // When the flushed prefix of an outbound buffer exceeds this, compact.
 constexpr size_t kOutbufCompactBytes = 1024 * 1024;
 
+// Room reserved ahead of a kQueryChunk frame's rows for its header: fixed32
+// length, type byte, flags byte, varint32 schema version, varint32 count.
+constexpr size_t kChunkHeaderMax = 4 + 1 + 1 + 5 + 5;
+
+// Writes the kQueryChunk header flush against the rows encoded into
+// `frame` after its kChunkHeaderMax gap, and returns the finished frame —
+// the same bytes wire::Frame would build around the assembled body,
+// without copying the rows again.
+Slice SealChunkFrame(std::string* frame, uint8_t flags, uint32_t version,
+                     uint32_t rows) {
+  std::string body_head;  // Fits the small-string buffer: no allocation.
+  body_head.push_back(static_cast<char>(flags));
+  PutVarint32(&body_head, version);
+  PutVarint32(&body_head, rows);
+  std::string header;
+  const size_t row_bytes = frame->size() - kChunkHeaderMax;
+  PutFixed32(&header,
+             static_cast<uint32_t>(1 + body_head.size() + row_bytes));
+  header.push_back(static_cast<char>(MsgType::kQueryChunk));
+  header += body_head;
+  const size_t start = kChunkHeaderMax - header.size();
+  frame->replace(start, header.size(), header);
+  return Slice(frame->data() + start, frame->size() - start);
+}
+
 bool GetName(Slice* in, std::string* name) {
   Slice s;
   if (!GetLengthPrefixedSlice(in, &s)) return false;
@@ -655,14 +680,14 @@ void LittleTableServer::TryFlushLocked(ConnState* cs) {
 }
 
 void LittleTableServer::AppendOutput(const std::shared_ptr<ConnState>& cs,
-                                     const std::string& data) {
+                                     const Slice& data) {
   if (data.empty()) return;
   bool leftover;
   {
     std::lock_guard<std::mutex> lock(cs->out_mu);
     if (cs->write_failed) return;  // The peer will never see it anyway.
     if (cs->outbuf.empty()) cs->last_out_progress = idle_clock_->Now();
-    cs->outbuf.append(data);
+    cs->outbuf.append(data.data(), data.size());
     if (!cs->out_counted) {
       cs->out_counted = true;
       unflushed_conns_.fetch_add(1);
@@ -851,22 +876,23 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
   // terminal frame (empty when silence is the answer — dead peer),
   // release the slot, detach. Stats are recorded BEFORE the terminal
   // frame is appended: once the client can observe the response, the
-  // table's query counters must already reflect it (the deterministic
-  // chaos sampler depends on that ordering).
-  auto finalize = [&](bool release_slot, const std::string& terminal) {
+  // table's query counters and the stream's wait and peak histograms must
+  // already reflect it (the deterministic chaos sampler depends on that
+  // ordering). The latency histogram still includes the terminal append.
+  auto finalize = [&](bool release_slot, const Slice& terminal) {
     if (st->qs) st->qs->Finish();
+    if (st->queue_wait_micros >= 0) {
+      queue_wait_micros_->Record(static_cast<uint64_t>(st->queue_wait_micros));
+    }
+    if (st->peak_bytes > 0) {
+      stream_peak_bytes_->Record(static_cast<uint64_t>(st->peak_bytes));
+    }
     if (!terminal.empty()) AppendOutput(cs, terminal);
     if (release_slot && !st->slot_exempt) {
       std::vector<AdmissionController::Departure> granted;
       admission_->Release(&granted);
       ResumeGranted(granted);
       UpdateScanGauges();
-    }
-    if (st->queue_wait_micros >= 0) {
-      queue_wait_micros_->Record(static_cast<uint64_t>(st->queue_wait_micros));
-    }
-    if (st->peak_bytes > 0) {
-      stream_peak_bytes_->Record(static_cast<uint64_t>(st->peak_bytes));
     }
     if (LatencyHistogram* h = op_micros_[kQueryOp]) {
       h->Record(static_cast<uint64_t>(MonotonicMicros() - st->op_start));
@@ -941,6 +967,10 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
       budget > 0
           ? std::min(kChunkTargetBytes, std::max<size_t>(1024, budget / 4))
           : kChunkTargetBytes;
+  // One frame buffer serves every chunk of the slice. A chunk may overshoot
+  // its target by one row; the slack keeps that from reallocating.
+  std::string frame;
+  frame.reserve(kChunkHeaderMax + chunk_target + chunk_target / 8);
   for (int chunk_i = 0; chunk_i < kSliceChunks; chunk_i++) {
     // Kill switches, re-checked between chunks inside the scan loop.
     if (st->cancel.load()) {
@@ -984,21 +1014,21 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
       if (!stopping_.load()) poller_->Wakeup();
       return SliceResult::kParked;
     }
-    // Pull one chunk's rows.
-    std::string rowbuf;
+    // Pull one chunk's rows, encoded straight into the frame buffer
+    // behind the space its header will take.
+    frame.resize(kChunkHeaderMax);
     uint32_t n = 0;
     bool final = false;
     const uint64_t scan_start = st->qs->rows_scanned();
     Status s = Status::OK();
-    Row row;
-    while (n < kChunkRows && rowbuf.size() < chunk_target) {
+    while (n < kChunkRows && frame.size() - kChunkHeaderMax < chunk_target) {
       const uint64_t scanned_here = st->qs->rows_scanned() - scan_start;
       if (scanned_here >= kChunkScanCap) break;
       bool have = false, exhausted = false;
-      s = st->qs->Next(kChunkScanCap - scanned_here, &row, &have, &exhausted);
+      s = st->qs->NextEncoded(kChunkScanCap - scanned_here, &frame, &have,
+                              &exhausted);
       if (!s.ok()) break;
       if (have) {
-        EncodeRow(&rowbuf, *st->schema, row);
         n++;
       } else if (exhausted) {
         final = true;
@@ -1029,20 +1059,16 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
         flags |= wire::kChunkFinal;
         if (st->qs->more_available()) flags |= wire::kChunkMoreAvailable;
       }
-      std::string chunk;
-      chunk.push_back(static_cast<char>(flags));
-      PutVarint32(&chunk, st->schema->version());
-      PutVarint32(&chunk, n);
-      chunk += rowbuf;
-      const std::string frame = wire::Frame(MsgType::kQueryChunk, chunk);
+      const Slice chunk =
+          SealChunkFrame(&frame, flags, st->schema->version(), n);
       // Accounted memory this query pins at its worst moment: undrained
       // earlier chunks plus the frame about to be appended. Measured
       // before the flush so the number is budget-vs-gate, not peer speed.
-      st->peak_bytes = std::max(st->peak_bytes, out_pending + frame.size());
+      st->peak_bytes = std::max(st->peak_bytes, out_pending + chunk.size());
       // The final chunk rides through finalize so table stats land before
       // the client can observe the end of the stream.
-      if (final) return finalize(true, frame);
-      AppendOutput(cs, frame);
+      if (final) return finalize(true, chunk);
+      AppendOutput(cs, chunk);
     }
   }
   return SliceResult::kYield;  // Share the pool with other connections.

@@ -694,7 +694,7 @@ void SimTransport::ResetAllConnections() {
     if (std::shared_ptr<Pipe> pipe = weak.lock()) {
       if (!pipe->reset) {
         pipe->reset = true;
-        inner_->stats.resets_injected++;
+        if (!pipe->client_gone) inner_->stats.resets_injected++;
       }
       live.push_back(std::move(weak));
     }
@@ -777,7 +777,7 @@ void SimTransport::ResetNodeConnections(const std::string& node) {
       if (!pipe->reset &&
           (pipe->client_node == node || pipe->server_node == node)) {
         pipe->reset = true;
-        inner_->stats.resets_injected++;
+        if (!pipe->client_gone) inner_->stats.resets_injected++;
       }
       live.push_back(std::move(weak));
     }

@@ -58,7 +58,10 @@ struct SimTransportStats {
   uint64_t connects = 0;          // Attempts, including failed ones.
   uint64_t connects_failed = 0;
   uint64_t accepts = 0;
-  uint64_t resets_injected = 0;   // Connections killed by ResetAllConnections.
+  // Connections killed by a reset: those whose client end was still open.
+  // A pipe the client already closed can outlive it until the server's
+  // thread notices, so counting it would tie the total to thread timing.
+  uint64_t resets_injected = 0;
   uint64_t writes_truncated = 0;
   uint64_t writes_delayed = 0;
   uint64_t bytes_blackholed = 0;  // Written during a partition, never seen.

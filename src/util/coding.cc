@@ -61,15 +61,19 @@ void PutVarint32(std::string* dst, uint32_t value) {
   dst->append(reinterpret_cast<char*>(buf), n);
 }
 
-void PutVarint64(std::string* dst, uint64_t value) {
-  unsigned char buf[10];
-  int n = 0;
+char* EncodeVarint64(char* dst, uint64_t value) {
+  unsigned char* p = reinterpret_cast<unsigned char*>(dst);
   while (value >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(value) | 0x80;
+    *p++ = static_cast<unsigned char>(value) | 0x80;
     value >>= 7;
   }
-  buf[n++] = static_cast<unsigned char>(value);
-  dst->append(reinterpret_cast<char*>(buf), n);
+  *p++ = static_cast<unsigned char>(value);
+  return reinterpret_cast<char*>(p);
+}
+
+void PutVarint64(std::string* dst, uint64_t value) {
+  char buf[10];
+  dst->append(buf, EncodeVarint64(buf, value) - buf);
 }
 
 void PutLengthPrefixedSlice(std::string* dst, const Slice& value) {

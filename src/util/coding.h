@@ -22,6 +22,9 @@ void PutLengthPrefixedSlice(std::string* dst, const Slice& value);
 
 void EncodeFixed32(char* dst, uint32_t value);
 void EncodeFixed64(char* dst, uint64_t value);
+/// Writes the varint encoding of `value` at `dst` (at most 10 bytes) and
+/// returns the byte past it.
+char* EncodeVarint64(char* dst, uint64_t value);
 uint32_t DecodeFixed32(const char* p);
 uint64_t DecodeFixed64(const char* p);
 

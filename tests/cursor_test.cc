@@ -19,7 +19,9 @@ using testutil::UsageSchema;
 std::vector<Row> Drain(Cursor* c) {
   std::vector<Row> rows;
   while (c->Valid()) {
-    rows.push_back(c->row());
+    Row row;
+    EXPECT_TRUE(c->ReadRow(&row).ok());
+    rows.push_back(std::move(row));
     EXPECT_TRUE(c->Next().ok());
   }
   EXPECT_TRUE(c->status().ok());

@@ -102,7 +102,9 @@ class TabletIoTest : public ::testing::Test {
     EXPECT_TRUE(reader_->NewCursor(bounds, &schema_, nullptr, &c).ok());
     std::vector<Row> rows;
     while (c->Valid()) {
-      rows.push_back(c->row());
+      Row row;
+      EXPECT_TRUE(c->ReadRow(&row).ok());
+      rows.push_back(std::move(row));
       EXPECT_TRUE(c->Next().ok());
     }
     EXPECT_TRUE(c->status().ok());
@@ -287,7 +289,8 @@ TEST_F(TabletIoTest, SchemaTranslationOnRead) {
   ASSERT_TRUE(reader->NewCursor(QueryBounds{}, &new_schema, nullptr, &c).ok());
   int count = 0;
   while (c->Valid()) {
-    const Row& r = c->row();
+    Row r;
+    ASSERT_TRUE(c->ReadRow(&r).ok());
     ASSERT_EQ(r.size(), 4u);
     EXPECT_EQ(r[2].i64(), count * 2);  // Widened to int64.
     EXPECT_EQ(r[3].bytes(), "dflt");   // Filled default.
@@ -333,7 +336,9 @@ TEST_F(TabletIoTest, LargeBlobsSpanBlocks) {
   ASSERT_TRUE(reader->NewCursor(QueryBounds{}, &s, nullptr, &c).ok());
   for (int i = 0; i < 40; i++) {
     ASSERT_TRUE(c->Valid());
-    EXPECT_EQ(c->row()[2].bytes(), payloads[i]);
+    Row r;
+    ASSERT_TRUE(c->ReadRow(&r).ok());
+    EXPECT_EQ(r[2].bytes(), payloads[i]);
     ASSERT_TRUE(c->Next().ok());
   }
   EXPECT_FALSE(c->Valid());
@@ -365,7 +370,10 @@ TEST_F(TabletIoTest, CorruptionMatrixEveryFlippedByteDetected) {
     Status s = r->NewCursor(b, &schema_, nullptr, &c);
     if (!s.ok()) return s;
     while (c->Valid()) {
-      rows->push_back(c->row());
+      Row row;
+      s = c->ReadRow(&row);
+      if (!s.ok()) return s;
+      rows->push_back(std::move(row));
       s = c->Next();
       if (!s.ok()) return s;
     }
@@ -516,7 +524,9 @@ TEST_F(TabletIoTest, TwoReadersSharingCacheDoNotCollide) {
     Status s = r->NewCursor(QueryBounds{}, &schema_, nullptr, &c);
     EXPECT_TRUE(s.ok());
     EXPECT_TRUE(c->Valid());
-    return c->row()[0].i64();
+    Row row;
+    EXPECT_TRUE(c->ReadRow(&row).ok());
+    return row[0].i64();
   };
   // Warm both, then re-read: each must still see its own data.
   EXPECT_EQ(first_network(r1), 0);
@@ -693,8 +703,10 @@ TEST_F(TabletIoTest, ProjectedCursorSkipsUnreferencedChunks) {
   ASSERT_TRUE(r->NewCursor(b, &schema_, nullptr, &c).ok());
   size_t n = 0;
   while (c->Valid()) {
-    EXPECT_EQ(c->row()[3].i64(), static_cast<int64_t>(n));
-    EXPECT_EQ(c->row()[4].dbl(), 0.0);  // Unprojected -> default.
+    Row r;
+    ASSERT_TRUE(c->ReadRow(&r).ok());
+    EXPECT_EQ(r[3].i64(), static_cast<int64_t>(n));
+    EXPECT_EQ(r[4].dbl(), 0.0);  // Unprojected -> default.
     n++;
     ASSERT_TRUE(c->Next().ok());
   }
@@ -712,7 +724,11 @@ TEST_F(TabletIoTest, ProjectedCursorSkipsUnreferencedChunks) {
       TabletReader::Open(&env_, "/t.tab", &r2, nullptr, &full_stats).ok());
   std::unique_ptr<Cursor> c2;
   ASSERT_TRUE(r2->NewCursor(QueryBounds{}, &schema_, nullptr, &c2).ok());
-  while (c2->Valid()) ASSERT_TRUE(c2->Next().ok());
+  Row full_row;
+  while (c2->Valid()) {
+    ASSERT_TRUE(c2->ReadRow(&full_row).ok());
+    ASSERT_TRUE(c2->Next().ok());
+  }
   EXPECT_EQ(full_stats.column_chunks_skipped.load(), 0u);
   EXPECT_EQ(full_stats.column_chunks_decoded.load(), 5 * nblocks);
 }
@@ -743,7 +759,9 @@ TEST_F(TabletIoTest, IncompressibleChunksStoredRawCompressibleStoredPacked) {
   ASSERT_TRUE(r->NewCursor(QueryBounds{}, &es, nullptr, &c).ok());
   size_t n = 0;
   while (c->Valid()) {
-    EXPECT_EQ(c->row()[2].bytes().size(), 2000u);
+    Row r;
+    ASSERT_TRUE(c->ReadRow(&r).ok());
+    EXPECT_EQ(r[2].bytes().size(), 2000u);
     n++;
     ASSERT_TRUE(c->Next().ok());
   }
