@@ -81,9 +81,11 @@ ChunkReport ReportDoubles(const char* shape, const std::vector<double>& v) {
 }
 
 ChunkReport ReportBytes(const char* shape, const std::vector<std::string>& v) {
-  ChunkEncoding enc = ChooseBytesEncoding(v);
+  ColumnValues cells;
+  for (const std::string& s : v) cells.AppendBytes(s);
+  ChunkEncoding enc = ChooseBytesEncoding(cells);
   std::string chunk;
-  EncodeBytesChunk(v, enc, &chunk);
+  EncodeBytesChunk(cells, enc, &chunk);
   std::string packed;
   lzmini::Compress(chunk, &packed);
   size_t stored = packed.size() < chunk.size() ? packed.size() : chunk.size();

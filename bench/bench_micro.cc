@@ -1,14 +1,19 @@
 // Google-benchmark microbenchmarks for the engine's hot paths: row codec,
-// block build/parse, lzmini, CRC32C, MemTablet insert, tablet write/scan,
-// the response chunk encode, and the uniqueness fast paths. These are
+// block build/parse, lzmini, CRC32C, bytes-column chunk decode, MemTablet
+// insert, tablet write/scan, the response chunk encode, a scan over
+// loopback TCP, and the uniqueness fast paths. These are
 // regression guards rather than paper figures; the figure reproductions
 // live in the bench_fig* binaries.
 #include <benchmark/benchmark.h>
 
+#include "core/column_codec.h"
+#include "core/db.h"
 #include "core/table.h"
 #include "core/tablet_reader.h"
 #include "core/tablet_writer.h"
 #include "env/mem_env.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "util/crc32c.h"
 #include "util/lzmini.h"
 #include "util/random.h"
@@ -89,6 +94,37 @@ void BM_LzminiDecompress(benchmark::State& state) {
 }
 BENCHMARK(BM_LzminiDecompress);
 
+// One bytes column chunk of a 64 kB block's worth of 75 B values, decoded
+// per iteration. Arg 0: a dictionary of 16 repeating values; arg 1: plain
+// bytes, every value distinct. per_value is the time per decoded cell.
+void BM_DecodeChunk(benchmark::State& state) {
+  const bool plain = state.range(0) != 0;
+  constexpr size_t kLen = 75;
+  constexpr uint32_t kValues = 64 * 1024 / (kLen + 1);
+  Random rng(6);
+  std::vector<std::string> tags;
+  for (int i = 0; i < 16; i++) tags.push_back(rng.Bytes(kLen));
+  ColumnValues cells;
+  for (uint32_t i = 0; i < kValues; i++) {
+    cells.AppendBytes(plain ? rng.Bytes(kLen) : tags[i % tags.size()]);
+  }
+  const ChunkEncoding enc =
+      plain ? ChunkEncoding::kPlainBytes : ChunkEncoding::kDict;
+  if (ChooseBytesEncoding(cells) != enc) abort();
+  std::string chunk;
+  EncodeBytesChunk(cells, enc, &chunk);
+  for (auto _ : state) {
+    ColumnValues out;
+    if (!DecodeChunk(chunk, enc, kValues, &out).ok()) abort();
+    benchmark::DoNotOptimize(out.spans.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kValues);
+  state.counters["per_value"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kValues,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DecodeChunk)->Arg(0)->Arg(1);
+
 void BM_MemTabletInsert(benchmark::State& state) {
   auto schema = std::make_shared<const Schema>(BenchSchema());
   Random rng(3);
@@ -150,27 +186,18 @@ Schema EncodeBenchSchema() {
                 3);
 }
 
-void BM_QueryStreamEncode(benchmark::State& state) {
-  const int fan_in = static_cast<int>(state.range(0));
-  const bool projected = state.range(1) != 0;
-  constexpr int kDevices = 256;
-  constexpr int kRows = 64 * 1024;
-  MemEnv env;
-  auto clock = std::make_shared<SimClock>(1000 * kMicrosPerWeek);
-  TableOptions opts;
-  opts.block_cache_bytes = 256ull << 20;
-  std::unique_ptr<Table> table;
-  if (!Table::Create(&env, clock, "/bm", "bm", EncodeBenchSchema(), opts,
-                     &table)
-           .ok()) {
-    abort();
-  }
-  const Timestamp t0 = clock->Now() - kMicrosPerHour;
-  const int ticks = kRows / kDevices / fan_in;
+constexpr int kEncodeBenchDevices = 256;
+constexpr int kEncodeBenchRows = 64 * 1024;
+
+// Fills `table` with EncodeBenchTableRows(fan_in) rows of
+// EncodeBenchSchema, one flushed tablet per time slice: `fan_in` tablets,
+// each across every series.
+void FillEncodeBenchTable(Table* table, Timestamp t0, int fan_in) {
+  const int ticks = kEncodeBenchRows / kEncodeBenchDevices / fan_in;
   for (int k = 0; k < fan_in; k++) {
     std::vector<Row> batch;
     for (int t = 0; t < ticks; t++) {
-      for (int d = 0; d < kDevices; d++) {
+      for (int d = 0; d < kEncodeBenchDevices; d++) {
         const int64_t tick = int64_t{t} * fan_in + k;
         batch.push_back({Value::Int64(d / 64), Value::Int64(d),
                          Value::Ts(t0 + tick), Value::Int64(tick * 1500 + d),
@@ -181,6 +208,27 @@ void BM_QueryStreamEncode(benchmark::State& state) {
     }
     if (!table->InsertBatch(batch).ok() || !table->FlushAll().ok()) abort();
   }
+}
+
+uint64_t EncodeBenchTableRows(int fan_in) {
+  return uint64_t{kEncodeBenchRows} / kEncodeBenchDevices / fan_in *
+         kEncodeBenchDevices * fan_in;
+}
+
+void BM_QueryStreamEncode(benchmark::State& state) {
+  const int fan_in = static_cast<int>(state.range(0));
+  const bool projected = state.range(1) != 0;
+  MemEnv env;
+  auto clock = std::make_shared<SimClock>(1000 * kMicrosPerWeek);
+  TableOptions opts;
+  opts.block_cache_bytes = 256ull << 20;
+  std::unique_ptr<Table> table;
+  if (!Table::Create(&env, clock, "/bm", "bm", EncodeBenchSchema(), opts,
+                     &table)
+           .ok()) {
+    abort();
+  }
+  FillEncodeBenchTable(table.get(), clock->Now() - kMicrosPerHour, fan_in);
   QueryBounds bounds;
   if (projected) bounds.projection = {3};
   std::string chunk;
@@ -196,10 +244,7 @@ void BM_QueryStreamEncode(benchmark::State& state) {
       if (chunk.size() >= 64 * 1024) chunk.clear();
     }
   }
-  if (rows != static_cast<uint64_t>(state.iterations()) * ticks * kDevices *
-                  fan_in) {
-    abort();
-  }
+  if (rows != state.iterations() * EncodeBenchTableRows(fan_in)) abort();
   state.SetItemsProcessed(static_cast<int64_t>(rows));
   state.counters["per_row"] = benchmark::Counter(
       static_cast<double>(rows),
@@ -208,6 +253,48 @@ void BM_QueryStreamEncode(benchmark::State& state) {
 BENCHMARK(BM_QueryStreamEncode)
     ->ArgsProduct({{1, 8, 43}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+// The same table (fan-in 8) scanned end to end: a server on loopback TCP,
+// Client::Query decoding every row. Arg: projected (1 = key columns plus
+// `bytes`), which the request carries to the server.
+void BM_QueryOverWire(benchmark::State& state) {
+  const bool projected = state.range(0) != 0;
+  constexpr int kFanIn = 8;
+  MemEnv env;
+  auto clock = std::make_shared<SimClock>(1000 * kMicrosPerWeek);
+  DbOptions dopts;
+  dopts.background_maintenance = false;
+  dopts.block_cache_bytes = 256ull << 20;
+  std::unique_ptr<DB> db;
+  if (!DB::Open(&env, clock, "/bm", dopts, &db).ok() ||
+      !db->CreateTable("bm", EncodeBenchSchema()).ok()) {
+    abort();
+  }
+  FillEncodeBenchTable(db->GetTable("bm").get(),
+                       clock->Now() - kMicrosPerHour, kFanIn);
+  LittleTableServer server(db.get(), 0);
+  std::unique_ptr<Client> client;
+  if (!server.Start().ok() ||
+      !Client::Connect("127.0.0.1", server.port(), &client).ok()) {
+    abort();
+  }
+  QueryBounds bounds;
+  if (projected) bounds.projection = {3};
+  uint64_t rows = 0;
+  for (auto _ : state) {
+    QueryResult result;
+    if (!client->Query("bm", bounds, &result).ok()) abort();
+    rows += result.rows.size();
+  }
+  if (rows != state.iterations() * EncodeBenchTableRows(kFanIn)) abort();
+  client.reset();
+  server.Stop();
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_QueryOverWire)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_TableInsertBatch(benchmark::State& state) {
   MemEnv env;

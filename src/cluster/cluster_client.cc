@@ -304,9 +304,8 @@ Status ClusterClient::QueryGroup(uint32_t group_id, const std::string& table,
             return Status::Aborted("schema changed mid-query");
           }
           for (uint32_t i = 0; i < count; i++) {
-            Row row;
-            LT_RETURN_IF_ERROR(DecodeRow(&in, *schema, &row));
-            result->rows.push_back(std::move(row));
+            LT_RETURN_IF_ERROR(
+                DecodeRow(&in, *schema, &result->rows.emplace_back()));
           }
           if (flags & wire::kChunkFinal) {
             result->more_available = flags & wire::kChunkMoreAvailable;

@@ -16,6 +16,11 @@ namespace {
 constexpr uint32_t kMaxBlockRows = 1u << 22;
 constexpr uint32_t kMaxBlockColumns = 1u << 12;
 constexpr uint32_t kMaxChunkRawLen = 1u << 26;
+static_assert(kMaxChunkRawLen == kMaxDictBytes);
+
+// Per-row headroom in the cache charge of a bytes column for what a
+// front-coded dictionary expands to beyond its raw chunk bytes.
+constexpr size_t kDictHeadroomPerRow = 32;
 
 }  // namespace
 
@@ -54,7 +59,7 @@ void BlockBuilder::Add(const Row& row) {
         cols_[c].dbls.push_back(v.dbl());
         break;
       case ColumnValues::Arm::kBytes:
-        cols_[c].strs.push_back(v.bytes());
+        cols_[c].AppendBytes(v.bytes());
         break;
       case ColumnValues::Arm::kNone:
         break;
@@ -92,8 +97,8 @@ std::string BlockBuilder::FinishColumnar() {
         encodings[c] = static_cast<uint8_t>(ChunkEncoding::kXor);
         break;
       case ColumnValues::Arm::kBytes: {
-        ChunkEncoding enc = ChooseBytesEncoding(cols_[c].strs);
-        EncodeBytesChunk(cols_[c].strs, enc, &chunk);
+        ChunkEncoding enc = ChooseBytesEncoding(cols_[c]);
+        EncodeBytesChunk(cols_[c], enc, &chunk);
         encodings[c] = static_cast<uint8_t>(enc);
         break;
       }
@@ -166,7 +171,10 @@ Status BlockContents::ParseColumnar(std::string image, BlockContents* out) {
   std::vector<ChunkRef> chunks;
   chunks.reserve(ncols);
   uint64_t total_stored = 0;
-  size_t decoded_bound = 0;  // Upper bound on fully materialized columns.
+  // Fully materialized columns: 8 B per row (an int, a double or a bytes
+  // span) plus the raw chunk bytes, which bound a plain-bytes buffer, plus
+  // dictionary headroom for bytes columns (DESIGN.md §6).
+  size_t decoded_bound = 0;
   for (uint32_t c = 0; c < ncols; c++) {
     if (in.size() < 2) return Status::Corruption("chunk directory truncated");
     ChunkRef ref;
@@ -192,7 +200,7 @@ Status BlockContents::ParseColumnar(std::string image, BlockContents* out) {
     total_stored += ref.stored_len;
     decoded_bound += ref.raw_len + 8ull * nrows +
                      (ref.encoding >= static_cast<uint8_t>(ChunkEncoding::kDict)
-                          ? sizeof(std::string) * static_cast<size_t>(nrows)
+                          ? kDictHeadroomPerRow * nrows
                           : 0);
     chunks.push_back(ref);
   }
@@ -310,7 +318,7 @@ Status BlockReader::CellAt(size_t c, size_t i, Value* out) const {
       *out = Value::Double(r.dbls[i]);
       return Status::OK();
     case ResolvedCol::Kind::kBytes:
-      *out = Value::String(r.strs[i]);
+      *out = Value::String(r.BytesAt(i).ToString());
       return Status::OK();
     case ResolvedCol::Kind::kDefault:
     case ResolvedCol::Kind::kMismatch:
@@ -375,7 +383,8 @@ Status BlockReader::Resolve(size_t n) {
         }
         break;
       case ColumnValues::Arm::kBytes:
-        r.strs = col.strs.data();
+        r.bytes = col.bytes.data();
+        r.spans = col.spans.data();
         if (column.type == ColumnType::kString ||
             column.type == ColumnType::kBlob) {
           r.kind = ResolvedCol::Kind::kBytes;
@@ -435,7 +444,7 @@ Status BlockReader::AppendEncodedRow(size_t i, std::string* out) {
     if (r.kind == ResolvedCol::Kind::kDefault) {
       bound += r.default_bytes.size();
     } else if (r.kind == ResolvedCol::Kind::kBytes && i < r.rows) {
-      bound += 10 + r.strs[i].size();
+      bound += 10 + r.spans[i].length;
     } else {
       bound += 10;
     }
@@ -473,7 +482,7 @@ Status BlockReader::AppendEncodedRow(size_t i, std::string* out) {
         break;
       }
       case ResolvedCol::Kind::kBytes: {
-        const std::string& v = r.strs[i];
+        const Slice v = r.BytesAt(i);
         p = EncodeVarint64(p, v.size());
         memcpy(p, v.data(), v.size());
         p += v.size();

@@ -234,8 +234,13 @@ class BlockReader {
     size_t rows = 0;  // Cells the decoded array holds.
     const int64_t* ints = nullptr;
     const double* dbls = nullptr;
-    const std::string* strs = nullptr;
+    const char* bytes = nullptr;  // kBytes: ColumnValues::bytes and spans.
+    const ColumnValues::Span* spans = nullptr;
     std::string default_bytes;  // kDefault: the column default, encoded.
+
+    Slice BytesAt(size_t i) const {
+      return Slice(bytes + spans[i].offset, spans[i].length);
+    }
   };
   /// Extends the resolution of the current columnar block to its first
   /// `n` columns: KeyAt needs the key columns, RowAt and AppendEncodedRow

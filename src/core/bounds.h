@@ -44,7 +44,10 @@ struct QueryBounds {
   /// default value instead of the stored one — columnar (format 2) tablets
   /// skip decoding those chunks entirely, which is where wide-row scans win
   /// (rows still in memory, or in row-wise tablets, keep their real
-  /// values). Key columns are always materialized regardless.
+  /// values). Key columns are always materialized regardless. The
+  /// projection crosses the wire with the rest of the bounds
+  /// (wire::EncodeBounds), so a remote query decodes and ships only the
+  /// referenced chunks' values, the other cells as defaults.
   std::vector<uint32_t> projection;
 
   /// Convenience: both key bounds set to the same prefix (rows beginning

@@ -1,6 +1,8 @@
 #include "core/column_codec.h"
 
+#include <cstring>
 #include <map>
+#include <string_view>
 
 #include "util/coding.h"
 
@@ -43,11 +45,9 @@ bool IsValidChunkEncoding(uint8_t b) {
 }
 
 size_t ColumnValues::ApproximateMemoryUsage() const {
-  size_t total = ints.capacity() * sizeof(int64_t) +
-                 dbls.capacity() * sizeof(double) +
-                 strs.capacity() * sizeof(std::string);
-  for (const std::string& s : strs) total += s.capacity();
-  return total;
+  return ints.capacity() * sizeof(int64_t) +
+         dbls.capacity() * sizeof(double) + bytes.capacity() +
+         spans.capacity() * sizeof(Span);
 }
 
 void EncodeIntChunk(const std::vector<int64_t>& v, ChunkEncoding enc,
@@ -81,16 +81,19 @@ void EncodeDoubleChunk(const std::vector<double>& v, std::string* out) {
 
 namespace {
 
-// Sorted distinct values -> dense ids, shared by the dict chooser/encoder.
-std::map<std::string, uint32_t> BuildDict(const std::vector<std::string>& v) {
-  std::map<std::string, uint32_t> dict;
-  for (const std::string& s : v) dict.emplace(s, 0);
+// Sorted distinct cells -> dense ids, shared by the dict chooser/encoder.
+// The keys view v.bytes, which outlives the map.
+std::map<std::string_view, uint32_t> BuildDict(const ColumnValues& v) {
+  std::map<std::string_view, uint32_t> dict;
+  for (size_t i = 0; i < v.spans.size(); i++) {
+    dict.emplace(v.cell(i).view(), 0);
+  }
   uint32_t id = 0;
   for (auto& [key, value] : dict) value = id++;
   return dict;
 }
 
-size_t SharedPrefixLen(const std::string& a, const std::string& b) {
+size_t SharedPrefixLen(std::string_view a, std::string_view b) {
   size_t n = std::min(a.size(), b.size());
   size_t i = 0;
   while (i < n && a[i] == b[i]) i++;
@@ -99,25 +102,29 @@ size_t SharedPrefixLen(const std::string& a, const std::string& b) {
 
 }  // namespace
 
-void EncodeBytesChunk(const std::vector<std::string>& v, ChunkEncoding enc,
+void EncodeBytesChunk(const ColumnValues& v, ChunkEncoding enc,
                       std::string* out) {
-  if (v.empty()) return;
+  if (v.spans.empty()) return;
   if (enc == ChunkEncoding::kPlainBytes) {
-    for (const std::string& s : v) PutLengthPrefixedSlice(out, s);
+    for (size_t i = 0; i < v.spans.size(); i++) {
+      PutLengthPrefixedSlice(out, v.cell(i));
+    }
     return;
   }
   // kDict: front-coded sorted dictionary, then one index per row.
-  std::map<std::string, uint32_t> dict = BuildDict(v);
+  std::map<std::string_view, uint32_t> dict = BuildDict(v);
   PutVarint32(out, static_cast<uint32_t>(dict.size()));
-  const std::string* prev = nullptr;
+  std::string_view prev;
   for (const auto& [entry, id] : dict) {
-    size_t shared = prev ? SharedPrefixLen(*prev, entry) : 0;
+    size_t shared = SharedPrefixLen(prev, entry);
     PutVarint32(out, static_cast<uint32_t>(shared));
     PutVarint32(out, static_cast<uint32_t>(entry.size() - shared));
     out->append(entry.data() + shared, entry.size() - shared);
-    prev = &entry;
+    prev = entry;
   }
-  for (const std::string& s : v) PutVarint32(out, dict.find(s)->second);
+  for (size_t i = 0; i < v.spans.size(); i++) {
+    PutVarint32(out, dict.find(v.cell(i).view())->second);
+  }
 }
 
 ChunkEncoding ChooseIntEncoding(const std::vector<int64_t>& v) {
@@ -136,20 +143,24 @@ ChunkEncoding ChooseIntEncoding(const std::vector<int64_t>& v) {
   return dod <= zz ? ChunkEncoding::kDeltaDelta : ChunkEncoding::kZigZag;
 }
 
-ChunkEncoding ChooseBytesEncoding(const std::vector<std::string>& v) {
+ChunkEncoding ChooseBytesEncoding(const ColumnValues& v) {
   size_t plain = 0;
-  for (const std::string& s : v) plain += VarintLength(s.size()) + s.size();
+  for (const ColumnValues::Span& span : v.spans) {
+    plain += VarintLength(span.length) + span.length;
+  }
 
-  std::map<std::string, uint32_t> dict = BuildDict(v);
+  std::map<std::string_view, uint32_t> dict = BuildDict(v);
   size_t dict_cost = VarintLength(dict.size());
-  const std::string* prev = nullptr;
+  std::string_view prev;
   for (const auto& [entry, id] : dict) {
-    size_t shared = prev ? SharedPrefixLen(*prev, entry) : 0;
+    size_t shared = SharedPrefixLen(prev, entry);
     dict_cost += VarintLength(shared) + VarintLength(entry.size() - shared) +
                  (entry.size() - shared);
-    prev = &entry;
+    prev = entry;
   }
-  for (const std::string& s : v) dict_cost += VarintLength(dict.find(s)->second);
+  for (size_t i = 0; i < v.spans.size(); i++) {
+    dict_cost += VarintLength(dict.find(v.cell(i).view())->second);
+  }
   return dict_cost < plain ? ChunkEncoding::kDict : ChunkEncoding::kPlainBytes;
 }
 
@@ -216,37 +227,57 @@ Status DecodeDictChunk(Slice in, uint32_t count, ColumnValues* out) {
   if (n > count || (count > 0 && n == 0)) {
     return Status::Corruption("dict size out of range");
   }
-  std::vector<std::string> dict;
-  dict.reserve(n);
+  // First pass: validate the entry headers and sum the expanded entry
+  // lengths, so the buffer is allocated once, and never past the cap.
+  const Slice entries = in;
+  uint64_t total = 0, prev_len = 0;
   for (uint32_t i = 0; i < n; i++) {
     uint32_t shared, suffix_len;
     if (!GetVarint32(&in, &shared) || !GetVarint32(&in, &suffix_len)) {
       return Status::Corruption("bad dict entry header");
     }
-    if (i == 0 ? shared != 0 : shared > dict.back().size()) {
+    if (i == 0 ? shared != 0 : shared > prev_len) {
       return Status::Corruption("dict shared prefix out of range");
     }
     if (suffix_len > in.size()) {
       return Status::Corruption("dict entry suffix truncated");
     }
-    std::string entry;
-    entry.reserve(shared + suffix_len);
-    if (i > 0) entry.assign(dict.back(), 0, shared);
-    entry.append(in.data(), suffix_len);
     in.remove_prefix(suffix_len);
+    prev_len = uint64_t{shared} + suffix_len;
+    total += prev_len;
+    if (total > kMaxDictBytes) {
+      return Status::Corruption("dict entries exceed size cap");
+    }
+  }
+  // Second pass: expand each entry into the buffer once.
+  out->bytes.resize(total);
+  char* buf = out->bytes.data();
+  std::vector<ColumnValues::Span> dict(n);
+  Slice e = entries;
+  uint32_t pos = 0;
+  for (uint32_t i = 0; i < n; i++) {
+    uint32_t shared = 0, suffix_len = 0;  // Validated by the first pass.
+    GetVarint32(&e, &shared);
+    GetVarint32(&e, &suffix_len);
+    if (i > 0) memcpy(buf + pos, buf + dict[i - 1].offset, shared);
+    memcpy(buf + pos + shared, e.data(), suffix_len);
+    e.remove_prefix(suffix_len);
+    dict[i] = {pos, shared + suffix_len};
+    pos += dict[i].length;
     // Entries must be strictly ascending (the encoder emits a sorted set);
     // anything else is a corrupt or non-canonical dictionary.
-    if (i > 0 && entry <= dict.back()) {
+    if (i > 0 && Slice(buf + dict[i].offset, dict[i].length)
+                         .compare(Slice(buf + dict[i - 1].offset,
+                                        dict[i - 1].length)) <= 0) {
       return Status::Corruption("dict entries not ascending");
     }
-    dict.push_back(std::move(entry));
   }
-  out->strs.reserve(count);
+  out->spans.reserve(count);
   for (uint32_t i = 0; i < count; i++) {
     uint32_t idx;
     if (!GetVarint32(&in, &idx)) return Status::Corruption("short dict index");
     if (idx >= n) return Status::Corruption("dict index out of range");
-    out->strs.push_back(dict[idx]);
+    out->spans.push_back(dict[idx]);
   }
   if (!in.empty()) return Status::Corruption("dict chunk trailing bytes");
   return Status::OK();
@@ -254,13 +285,16 @@ Status DecodeDictChunk(Slice in, uint32_t count, ColumnValues* out) {
 
 Status DecodePlainBytesChunk(Slice in, uint32_t count, ColumnValues* out) {
   out->arm = ColumnValues::Arm::kBytes;
-  out->strs.reserve(count);
+  // Each cell spends at least a one-byte length prefix, so the cells fit in
+  // in.size() - count bytes (DecodeChunk checked count <= in.size()).
+  out->bytes.reserve(in.size() - count);
+  out->spans.reserve(count);
   for (uint32_t i = 0; i < count; i++) {
     Slice s;
     if (!GetLengthPrefixedSlice(&in, &s)) {
       return Status::Corruption("short bytes chunk");
     }
-    out->strs.push_back(s.ToString());
+    out->AppendBytes(s);
   }
   if (!in.empty()) return Status::Corruption("bytes chunk trailing bytes");
   return Status::OK();
@@ -273,7 +307,8 @@ Status DecodeChunk(Slice in, ChunkEncoding enc, uint32_t count,
   out->arm = ColumnValues::Arm::kNone;
   out->ints.clear();
   out->dbls.clear();
-  out->strs.clear();
+  out->bytes.clear();
+  out->spans.clear();
   // Every encoding spends at least one byte per value (kXor spends 8 on the
   // first), so a count beyond the chunk size is corrupt — checked before any
   // reserve() so garbage counts cannot drive huge allocations.

@@ -55,21 +55,44 @@ bool IsValidChunkEncoding(uint8_t b);
 /// determines the arm (ints for kDeltaDelta/kZigZag, doubles for kXor,
 /// bytes for kDict/kPlainBytes); the schema's declared column type maps the
 /// arm to typed cells at row materialization.
+///
+/// A bytes arm keeps every cell in one contiguous buffer: cell i is
+/// spans[i] into `bytes`. A decoded dictionary is expanded into the buffer
+/// once and each cell references its entry, so decoding allocates per
+/// chunk, not per cell. Spans hold offsets, not pointers, so the buffer may
+/// grow (or the struct move) under them.
 struct ColumnValues {
   enum class Arm : uint8_t { kNone, kInt, kDouble, kBytes };
+  struct Span {
+    uint32_t offset;
+    uint32_t length;
+  };
   Arm arm = Arm::kNone;
   std::vector<int64_t> ints;
   std::vector<double> dbls;
-  std::vector<std::string> strs;
+  std::string bytes;
+  std::vector<Span> spans;
 
   size_t size() const {
     switch (arm) {
       case Arm::kInt: return ints.size();
       case Arm::kDouble: return dbls.size();
-      case Arm::kBytes: return strs.size();
+      case Arm::kBytes: return spans.size();
       case Arm::kNone: return 0;
     }
     return 0;
+  }
+
+  /// Bytes cell i.
+  Slice cell(size_t i) const {
+    return Slice(bytes.data() + spans[i].offset, spans[i].length);
+  }
+
+  /// Appends a bytes cell.
+  void AppendBytes(Slice s) {
+    spans.push_back({static_cast<uint32_t>(bytes.size()),
+                     static_cast<uint32_t>(s.size())});
+    bytes.append(s.data(), s.size());
   }
 
   /// Heap footprint (block-cache charge accounting).
@@ -83,8 +106,9 @@ void EncodeIntChunk(const std::vector<int64_t>& v, ChunkEncoding enc,
 /// Appends the kXor encoding of `v`.
 void EncodeDoubleChunk(const std::vector<double>& v, std::string* out);
 
-/// Appends the encoding of `v` under `enc` (kDict or kPlainBytes).
-void EncodeBytesChunk(const std::vector<std::string>& v, ChunkEncoding enc,
+/// Appends the encoding of the bytes cells of `v` under `enc` (kDict or
+/// kPlainBytes).
+void EncodeBytesChunk(const ColumnValues& v, ChunkEncoding enc,
                       std::string* out);
 
 /// Exact-cost chooser for integer columns: encodes nothing, just sums the
@@ -94,14 +118,22 @@ ChunkEncoding ChooseIntEncoding(const std::vector<int64_t>& v);
 /// Exact-cost chooser for byte columns: returns kDict when the front-coded
 /// dictionary plus per-row indices is smaller than plain length-prefixed
 /// values, else kPlainBytes.
-ChunkEncoding ChooseBytesEncoding(const std::vector<std::string>& v);
+ChunkEncoding ChooseBytesEncoding(const ColumnValues& v);
+
+/// Cap on a decoded dictionary's expanded entries. Front coding lets a
+/// chain of long shared prefixes describe far more bytes than the chunk
+/// holds; this equals the largest raw chunk a block may hold (64 MB), so a
+/// decoded dictionary is never larger than the largest plain chunk.
+constexpr size_t kMaxDictBytes = size_t{1} << 26;
 
 /// Decodes an entire chunk of exactly `count` values. `in` must contain the
 /// chunk bytes and nothing else: trailing bytes, truncation, bad dictionary
 /// indices, or any other malformation returns kCorruption. `count` is
 /// trusted (it comes from the CRC-protected block directory, cross-checked
 /// against the footer index); decoders never allocate more than
-/// O(count + in.size()).
+/// O(count + in.size()), except that a front-coded dictionary expands to
+/// its entries' full length, capped at kMaxDictBytes before the buffer is
+/// allocated.
 Status DecodeChunk(Slice in, ChunkEncoding enc, uint32_t count,
                    ColumnValues* out);
 

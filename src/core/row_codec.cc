@@ -9,12 +9,10 @@ void EncodeRow(std::string* dst, const Schema& schema, const Row& row) {
 }
 
 Status DecodeRow(Slice* input, const Schema& schema, Row* out) {
-  out->clear();
-  out->reserve(schema.num_columns());
+  out->resize(schema.num_columns());
   for (size_t i = 0; i < schema.num_columns(); i++) {
-    Value v;
-    LT_RETURN_IF_ERROR(DecodeValue(input, schema.columns()[i].type, &v));
-    out->push_back(std::move(v));
+    LT_RETURN_IF_ERROR(
+        DecodeValue(input, schema.columns()[i].type, &(*out)[i]));
   }
   return Status::OK();
 }

@@ -13,7 +13,9 @@ namespace lt {
 /// Appends the encoding of all cells of `row` to `dst`.
 void EncodeRow(std::string* dst, const Schema& schema, const Row& row);
 
-/// Decodes one row, consuming from `input`.
+/// Decodes one row, consuming from `input`. On error *out holds
+/// num_columns() cells, of which only those before the failing one are
+/// decoded.
 Status DecodeRow(Slice* input, const Schema& schema, Row* out);
 
 /// Appends the encoding of the leading `key.size()` key columns.

@@ -430,9 +430,8 @@ Status Client::QueryLocked(const std::string& table, const QueryBounds& bounds,
         result->rows.reserve(std::max(want, 2 * result->rows.capacity()));
       }
       for (uint32_t i = 0; i < count; i++) {
-        Row row;
-        LT_RETURN_IF_ERROR(DecodeRow(&in, *schema, &row));
-        result->rows.push_back(std::move(row));
+        LT_RETURN_IF_ERROR(
+            DecodeRow(&in, *schema, &result->rows.emplace_back()));
       }
       if (flags & wire::kChunkFinal) {
         result->more_available = flags & wire::kChunkMoreAvailable;

@@ -45,12 +45,16 @@ void EncodeBounds(std::string* dst, const Schema& schema,
   if (bounds.min_ts_inclusive) flags |= 0x10;
   if (bounds.max_ts_inclusive) flags |= 0x20;
   if (bounds.direction == Direction::kDescending) flags |= 0x40;
+  if (!bounds.projection.empty()) flags |= kBoundsProjected;
   dst->push_back(static_cast<char>(flags));
   if (bounds.min_key) EncodeKeyPrefix(dst, schema, bounds.min_key->prefix);
   if (bounds.max_key) EncodeKeyPrefix(dst, schema, bounds.max_key->prefix);
   PutVarint64(dst, ZigZagEncode(bounds.min_ts));
   PutVarint64(dst, ZigZagEncode(bounds.max_ts));
   PutVarint64(dst, bounds.limit);
+  if (bounds.projection.empty()) return;
+  PutVarint32(dst, static_cast<uint32_t>(bounds.projection.size()));
+  for (uint32_t c : bounds.projection) PutVarint32(dst, c);
 }
 
 Status DecodeBounds(Slice* in, const Schema& schema, QueryBounds* out) {
@@ -81,6 +85,22 @@ Status DecodeBounds(Slice* in, const Schema& schema, QueryBounds* out) {
   out->max_ts_inclusive = flags & 0x20;
   out->direction =
       (flags & 0x40) ? Direction::kDescending : Direction::kAscending;
+  if (!(flags & kBoundsProjected)) return Status::OK();
+  // The count is checked before it sizes the vector, and every index
+  // against the schema, so a hostile request can neither allocate from an
+  // unchecked count nor name a column that does not exist.
+  uint32_t count;
+  if (!GetVarint32(in, &count) || count > schema.num_columns()) {
+    return Status::Corruption("bad projection count");
+  }
+  out->projection.reserve(count);
+  for (uint32_t i = 0; i < count; i++) {
+    uint32_t c;
+    if (!GetVarint32(in, &c) || c >= schema.num_columns()) {
+      return Status::Corruption("bad projection column");
+    }
+    out->projection.push_back(c);
+  }
   return Status::OK();
 }
 

@@ -37,7 +37,12 @@ enum class MsgType : uint8_t {
   kCreateTable = 4,   // body: name, schema, ttl
   kDropTable = 5,     // body: name
   kInsert = 6,        // body: name, schema version, row count, rows
-  kQuery = 7,         // body: name, schema version, bounds
+  kQuery = 7,         // body: name, schema version, bounds (EncodeBounds:
+                      //   flags byte; min/max key prefixes as the flags
+                      //   say; zigzag varint64 min_ts, max_ts; varint64
+                      //   limit; then, only when flag kBoundsProjected
+                      //   (0x80) is set, varint32 count and `count`
+                      //   varint32 column indexes, the projection).
   kLatestRow = 8,     // body: name, schema version, prefix
   kFlushThrough = 9,  // body: name, ts (§4.1.2 extension)
   kAppendColumn = 10, // body: name, column
@@ -126,6 +131,15 @@ enum class ErrCode : uint8_t {
                        // same connection (terminal frame of the cancelled
                        // query). Not retryable: the caller asked for it.
 };
+
+/// Bounds flag: a projection follows the limit. The projection is a decode
+/// hint (QueryBounds::projection): cells outside it come back carrying the
+/// column default, in the same chunk format. A server that predates the
+/// flag ignores it and the trailing bytes and returns full rows, which is
+/// equally correct. Unprojected requests never set it, so their bytes do
+/// not change. The decoder rejects a count above the schema's column count
+/// (before allocating) and any index outside the schema with Corruption.
+constexpr uint8_t kBoundsProjected = 0x80;
 
 /// kQueryChunk flags.
 constexpr uint8_t kChunkFinal = 0x1;          // Last chunk of this query.

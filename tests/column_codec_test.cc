@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/column_codec.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace lt {
@@ -53,15 +54,30 @@ void RoundTripDoubles(const std::vector<double>& v) {
   }
 }
 
+ColumnValues BytesColumn(const std::vector<std::string>& v) {
+  ColumnValues cells;
+  cells.arm = ColumnValues::Arm::kBytes;
+  for (const std::string& s : v) cells.AppendBytes(s);
+  return cells;
+}
+
+std::vector<std::string> Cells(const ColumnValues& c) {
+  std::vector<std::string> v;
+  for (size_t i = 0; i < c.spans.size(); i++) {
+    v.push_back(c.cell(i).ToString());
+  }
+  return v;
+}
+
 void RoundTripBytes(const std::vector<std::string>& v, ChunkEncoding enc) {
   std::string chunk;
-  EncodeBytesChunk(v, enc, &chunk);
+  EncodeBytesChunk(BytesColumn(v), enc, &chunk);
   ColumnValues out;
   Status s = DecodeChunk(Slice(chunk), enc,
                          static_cast<uint32_t>(v.size()), &out);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(out.arm, ColumnValues::Arm::kBytes);
-  EXPECT_EQ(out.strs, v);
+  EXPECT_EQ(Cells(out), v);
 }
 
 TEST(ColumnCodecTest, DeltaDeltaRegularSeriesIsTiny) {
@@ -163,11 +179,12 @@ TEST(ColumnCodecTest, ChoosersPickTheCheaperScheme) {
   for (int i = 0; i < 200; i++) {
     names.push_back("sw" + std::to_string(i % 8) + ".sjc.example.com");
   }
-  EXPECT_EQ(ChooseBytesEncoding(names), ChunkEncoding::kDict);
+  EXPECT_EQ(ChooseBytesEncoding(BytesColumn(names)), ChunkEncoding::kDict);
   // All-distinct incompressible blobs: the dictionary is pure overhead.
   std::vector<std::string> blobs;
   for (int i = 0; i < 50; i++) blobs.push_back(rnd.Bytes(100));
-  EXPECT_EQ(ChooseBytesEncoding(blobs), ChunkEncoding::kPlainBytes);
+  EXPECT_EQ(ChooseBytesEncoding(BytesColumn(blobs)),
+            ChunkEncoding::kPlainBytes);
 }
 
 TEST(ColumnCodecTest, TrailingBytesRejected) {
@@ -207,7 +224,8 @@ TEST(ColumnCodecTest, DictMalformationsRejected) {
   // Dictionary larger than the row count.
   {
     std::string chunk;
-    EncodeBytesChunk({"a", "b", "c"}, ChunkEncoding::kDict, &chunk);
+    EncodeBytesChunk(BytesColumn({"a", "b", "c"}), ChunkEncoding::kDict,
+                     &chunk);
     EXPECT_TRUE(
         DecodeChunk(Slice(chunk), ChunkEncoding::kDict, 2, &out).IsCorruption());
   }
@@ -217,6 +235,41 @@ TEST(ColumnCodecTest, DictMalformationsRejected) {
     EXPECT_TRUE(
         DecodeChunk(Slice(chunk), ChunkEncoding::kDict, 1, &out).IsCorruption());
   }
+}
+
+// Front coding lets each entry share its whole predecessor, so a few bytes
+// per entry can describe a dictionary quadratically larger than the chunk.
+// The decoder sums the expanded lengths before allocating and rejects a
+// dictionary past kMaxDictBytes.
+TEST(ColumnCodecTest, DictExpansionCappedBeforeAllocating) {
+  constexpr uint32_t kEntries = 20000;
+  constexpr uint32_t kFirstLen = 4096;
+  std::string chunk;
+  PutVarint32(&chunk, kEntries);
+  PutVarint32(&chunk, 0);
+  PutVarint32(&chunk, kFirstLen);
+  chunk.append(kFirstLen, 'a');
+  uint64_t expanded = kFirstLen;
+  for (uint32_t i = 1; i < kEntries; i++) {
+    PutVarint32(&chunk, kFirstLen + i - 1);  // Share the whole predecessor.
+    PutVarint32(&chunk, 1);
+    chunk.push_back('a');
+    expanded += kFirstLen + i;
+  }
+  ASSERT_GT(expanded, kMaxDictBytes);
+  for (uint32_t i = 0; i < kEntries; i++) PutVarint32(&chunk, i);
+  ColumnValues out;
+  Status s = DecodeChunk(Slice(chunk), ChunkEncoding::kDict, kEntries, &out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_LE(out.bytes.capacity(), kMaxDictBytes);
+
+  // The same chain cut short stays under the cap and decodes, each cell
+  // a slice of its expanded entry.
+  std::vector<std::string> chain;
+  for (uint32_t i = 0; i < 300; i++) {
+    chain.push_back(std::string(200 + i, 'a'));
+  }
+  RoundTripBytes(chain, ChunkEncoding::kDict);
 }
 
 // The bounds-fuzz matrix: for each encoding, take a valid chunk and (a)
@@ -250,8 +303,8 @@ TEST(ColumnCodecTest, FuzzTruncationsAndBitFlipsNeverCrash) {
     std::vector<std::string> strs = {"alpha", "alphabet", "beta", "alpha",
                                      "", "beta"};
     std::string c1, c2;
-    EncodeBytesChunk(strs, ChunkEncoding::kDict, &c1);
-    EncodeBytesChunk(strs, ChunkEncoding::kPlainBytes, &c2);
+    EncodeBytesChunk(BytesColumn(strs), ChunkEncoding::kDict, &c1);
+    EncodeBytesChunk(BytesColumn(strs), ChunkEncoding::kPlainBytes, &c2);
     cases.push_back({ChunkEncoding::kDict, c1, 6});
     cases.push_back({ChunkEncoding::kPlainBytes, c2, 6});
   }

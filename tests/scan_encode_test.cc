@@ -8,6 +8,11 @@
 // an older schema (the translation fallback) and MemTablet rows — in
 // process and, chunk frame by chunk frame, over the wire.
 //
+// The projection travels in the kQuery request, so Client::QueryAll (with
+// server-side paging) and SQL through ClientBackend must answer exactly as
+// the engine does in process, and a mutated projected kQuery body must get
+// a reply or an explicit error.
+//
 // Injected faults — an int32 cell out of range, a chunk whose arm does not
 // match its column type, an undecodable chunk — must fail the encode path
 // with exactly the Corruption RowAt returns, and the server must answer
@@ -27,9 +32,12 @@
 #include "core/tablet_reader.h"
 #include "core/tablet_writer.h"
 #include "env/mem_env.h"
+#include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "sim/sim_transport.h"
+#include "sql/backend.h"
+#include "sql/executor.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/lzmini.h"
@@ -55,7 +63,10 @@ struct WireFrame {
 
 class WireHarness {
  public:
-  WireHarness(DB* db, std::shared_ptr<SimClock> clock) {
+  /// `row_cap` is the server's default_query_row_cap (0 = none); a small
+  /// one makes Client::QueryAll page.
+  WireHarness(DB* db, std::shared_ptr<SimClock> clock, uint64_t row_cap = 0)
+      : clock_(clock) {
     SimTransportOptions topts;
     topts.clock = clock;
     transport_ = std::make_unique<SimTransport>(topts);
@@ -64,6 +75,7 @@ class WireHarness {
     sopts.transport = transport_.get();
     sopts.clock = clock;
     sopts.poll_interval_ms = 5;
+    sopts.default_query_row_cap = row_cap;
     server_ = std::make_unique<LittleTableServer>(db, sopts);
     EXPECT_TRUE(server_->Start().ok());
     EXPECT_TRUE(transport_->Connect("sim", kPort, 1000, &conn_).ok());
@@ -79,12 +91,13 @@ class WireHarness {
   /// error frame.
   Status Query(const std::string& table, const Schema& schema,
                const QueryBounds& bounds, std::vector<WireFrame>* frames) {
+    return Send(QueryBody(table, schema, bounds), frames);
+  }
+
+  /// Sends `body` as a kQuery request, collecting frames as Query does.
+  Status Send(const std::string& body, std::vector<WireFrame>* frames) {
     frames->clear();
-    std::string req;
-    PutLengthPrefixedSlice(&req, table);
-    PutVarint32(&req, schema.version());
-    wire::EncodeBounds(&req, schema, bounds);
-    const std::string f = wire::Frame(MsgType::kQuery, req);
+    const std::string f = wire::Frame(MsgType::kQuery, body);
     LT_RETURN_IF_ERROR(conn_->WriteAll(f.data(), f.size()));
     while (true) {
       WireFrame frame;
@@ -107,7 +120,29 @@ class WireHarness {
     }
   }
 
+  /// A Client over the same simulated transport.
+  std::unique_ptr<Client> NewClient() {
+    ClientOptions copts;
+    copts.transport = transport_.get();
+    copts.clock = clock_;
+    std::unique_ptr<Client> client;
+    EXPECT_TRUE(Client::Connect("sim", kPort, copts, &client).ok());
+    return client;
+  }
+
+  LittleTableServer* server() { return server_.get(); }
+
+  static std::string QueryBody(const std::string& table, const Schema& schema,
+                               const QueryBounds& bounds) {
+    std::string body;
+    PutLengthPrefixedSlice(&body, table);
+    PutVarint32(&body, schema.version());
+    wire::EncodeBounds(&body, schema, bounds);
+    return body;
+  }
+
  private:
+  std::shared_ptr<SimClock> clock_;
   std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<LittleTableServer> server_;
   std::unique_ptr<net::Connection> conn_;
@@ -374,12 +409,12 @@ TEST_F(ScanEncodeTest, StreamedBytesEqualEncodeRowOverQueryRows) {
 
 // The same matrix over the wire: every kQueryChunk frame the server sends
 // is byte-for-byte wire::Frame over (flags, schema version, count, the
-// EncodeRow bytes of the next `count` reference rows). A kQuery request
-// carries no projection, so only the unprojected cases apply.
+// EncodeRow bytes of the next `count` reference rows). The projection
+// travels in the request, so projected cases carry the column defaults
+// the reference rows carry.
 TEST_F(ScanEncodeTest, WireChunksCarryEncodeRowBytes) {
   WireHarness wire(db_.get(), clock_);
   for (const auto& [name, b] : Cases()) {
-    if (!b.projection.empty()) continue;
     SCOPED_TRACE(name);
     size_t want_n = 0;
     bool want_more = false;
@@ -409,6 +444,221 @@ TEST_F(ScanEncodeTest, WireChunksCarryEncodeRowBytes) {
     EXPECT_EQ(got, want);
     EXPECT_EQ(got_n, want_n);
   }
+}
+
+// Client::QueryAll over the wire returns exactly Table::Query's rows for
+// the same bounds, projection included: projected cells outside the
+// projection come back as the defaults the engine returns. A server row
+// cap of 53 makes every larger result page.
+TEST_F(ScanEncodeTest, ClientQueryAllMatchesTableQuery) {
+  WireHarness wire(db_.get(), clock_, /*row_cap=*/53);
+  std::unique_ptr<Client> client = wire.NewClient();
+  ASSERT_NE(client, nullptr);
+  for (const auto& [name, b] : Cases()) {
+    SCOPED_TRACE(name);
+    size_t want_n = 0;
+    bool want_more = false;
+    const std::string want = Expected(b, &want_n, &want_more);
+    std::vector<Row> rows;
+    Status s = client->QueryAll("mix", b, &rows);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    std::string got;
+    for (const Row& r : rows) EncodeRow(&got, *schema_, r);
+    EXPECT_EQ(rows.size(), want_n);
+    EXPECT_EQ(got, want);
+  }
+}
+
+// A SELECT of two value columns pushes its projection down; through
+// ClientBackend it crosses the wire and must answer exactly as DbBackend.
+TEST_F(ScanEncodeTest, SqlOverWireEqualsEmbedded) {
+  WireHarness wire(db_.get(), clock_, /*row_cap=*/53);
+  std::unique_ptr<Client> client = wire.NewClient();
+  ASSERT_NE(client, nullptr);
+  sql::DbBackend local(db_.get());
+  sql::ClientBackend remote(client.get(), clock_);
+  sql::SqlSession local_session(&local), remote_session(&remote);
+  for (const std::string stmt :
+       {"SELECT i64, s FROM mix WHERE ts >= 0",
+        "SELECT d, b FROM mix WHERE net = 1 ORDER BY KEY DESC LIMIT 100"}) {
+    SCOPED_TRACE(stmt);
+    auto want = local_session.Execute(stmt);
+    auto got = remote_session.Execute(stmt);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_GT(want->rows.size(), 1u);
+    EXPECT_EQ(got->columns, want->columns);
+    ASSERT_EQ(got->rows.size(), want->rows.size());
+    for (size_t i = 0; i < want->rows.size(); i++) {
+      ASSERT_EQ(got->rows[i].size(), 2u);
+      for (size_t c = 0; c < 2; c++) {
+        EXPECT_EQ(got->rows[i][c].ToString(want->types[c]),
+                  want->rows[i][c].ToString(want->types[c]))
+            << "row " << i << " column " << c;
+      }
+    }
+  }
+}
+
+// Unprojected bounds keep their bytes; a projection sets flag 0x80 and
+// appends its count and indexes after the limit, and decodes back.
+TEST(WireBoundsTest, ProjectionOnlyAppends) {
+  const Schema schema = MixSchemaV1();
+  QueryBounds b;
+  std::string plain;
+  wire::EncodeBounds(&plain, schema, b);
+  // Flags (both ts bounds inclusive), zigzag INT64_MIN, zigzag INT64_MAX,
+  // limit 0.
+  const std::string want = std::string("\x30") + std::string(9, '\xff') +
+                           "\x01\xfe" + std::string(8, '\xff') + "\x01" +
+                           std::string(1, '\0');
+  EXPECT_EQ(plain, want);
+
+  b.projection = {3, 7};
+  std::string projected;
+  wire::EncodeBounds(&projected, schema, b);
+  std::string expect = want;
+  expect[0] = static_cast<char>(expect[0] | wire::kBoundsProjected);
+  expect += "\x02\x03\x07";
+  EXPECT_EQ(projected, expect);
+  Slice in(projected);
+  QueryBounds back;
+  ASSERT_TRUE(wire::DecodeBounds(&in, schema, &back).ok());
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(back.projection, b.projection);
+}
+
+// Checks that `out` holds one complete reply to a kQuery: kQueryChunk
+// frames whose rows decode under `schema`, the last one final, or a single
+// error frame — and nothing after it.
+void ExpectValidQueryReply(const std::string& out, const Schema& schema) {
+  Slice in(out);
+  bool done = false;
+  while (!done) {
+    uint32_t len;
+    ASSERT_TRUE(GetFixed32(&in, &len)) << "no terminal frame";
+    ASSERT_GE(len, 1u);
+    ASSERT_LE(len, in.size());
+    const MsgType type = static_cast<MsgType>(in[0]);
+    const std::string body(in.data() + 1, len - 1);
+    in.remove_prefix(len);
+    if (type == MsgType::kError) {
+      ASSERT_FALSE(body.empty());
+      done = true;
+      continue;
+    }
+    ASSERT_EQ(type, MsgType::kQueryChunk);
+    Chunk c;
+    ParseChunk(body, schema, &c);
+    done = (c.flags & wire::kChunkFinal) != 0;
+  }
+  EXPECT_TRUE(in.empty()) << in.size() << " bytes after the terminal frame";
+}
+
+// The error a kQuery with undecodable bounds gets: the existing
+// schema-changed-or-bad-bounds reply.
+void ExpectBadBounds(const std::string& out) {
+  Slice in(out);
+  uint32_t len;
+  ASSERT_TRUE(GetFixed32(&in, &len));
+  ASSERT_EQ(len, in.size());
+  ASSERT_EQ(static_cast<MsgType>(in[0]), MsgType::kError);
+  ASSERT_GE(len, 2u);
+  EXPECT_EQ(static_cast<ErrCode>(in[1]), ErrCode::kSchemaChanged);
+}
+
+// The mutation matrix over a projected kQuery body, driven through the
+// server's dispatch in process: every truncation, every bit flip, and the
+// projection count and index pushed out of range. Each must get a valid
+// reply or an explicit error — never a crash, a hang, or (under ASan) an
+// allocation sized from an unchecked count.
+TEST_F(ScanEncodeTest, ProjectedQueryBodyMutationsGetReplyOrError) {
+  WireHarness wire(db_.get(), clock_);
+  LittleTableServer* server = wire.server();
+  QueryBounds b = QueryBounds::ForPrefix({Value::Int64(1)});
+  b.min_ts = t0_ + 100;
+  b.limit = 9;
+  b.projection = {3, 6, kExtraColumn};
+  const std::string body = WireHarness::QueryBody("mix", *schema_, b);
+  // The projection is the body's tail: count, then one byte per index.
+  const size_t proj_at = body.size() - 1 - b.projection.size();
+  ASSERT_EQ(static_cast<uint8_t>(body[proj_at]), b.projection.size());
+
+  std::string out;
+  server->Handle(MsgType::kQuery, body, &out);
+  ExpectValidQueryReply(out, *schema_);
+  ASSERT_NE(static_cast<MsgType>(out[4]), MsgType::kError);
+
+  for (size_t len = 0; len < body.size(); len++) {
+    SCOPED_TRACE("truncated to " + std::to_string(len));
+    out.clear();
+    server->Handle(MsgType::kQuery, Slice(body.data(), len), &out);
+    ExpectValidQueryReply(out, *schema_);
+  }
+  for (size_t pos = 0; pos < body.size(); pos++) {
+    for (int bit = 0; bit < 8; bit++) {
+      SCOPED_TRACE("flip byte " + std::to_string(pos) + " bit " +
+                   std::to_string(bit));
+      std::string bad = body;
+      bad[pos] ^= static_cast<char>(1u << bit);
+      out.clear();
+      server->Handle(MsgType::kQuery, bad, &out);
+      ExpectValidQueryReply(out, *schema_);
+    }
+  }
+
+  // Count and index out of range, over dispatch and over the streaming
+  // path a connection's kQuery takes.
+  const uint32_t ncols = static_cast<uint32_t>(schema_->num_columns());
+  auto with_tail = [&](std::initializer_list<uint32_t> tail) {
+    std::string bad = body.substr(0, proj_at);
+    for (uint32_t v : tail) PutVarint32(&bad, v);
+    return bad;
+  };
+  struct Mutant {
+    std::string name;
+    std::string body;
+    bool valid;
+  };
+  const std::vector<Mutant> mutants = {
+      {"count=0", with_tail({0}), true},
+      {"count=columns", with_tail({ncols, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}), true},
+      {"count=columns+1",
+       with_tail({ncols + 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9}), false},
+      {"count=2^32-1", with_tail({0xffffffffu, 3}), false},
+      {"count past the body", with_tail({5, 3}), false},
+      {"index=columns", with_tail({2, 3, ncols}), false},
+      {"index=2^32-1", with_tail({1, 0xffffffffu}), false},
+  };
+  std::vector<WireFrame> frames;
+  for (const Mutant& m : mutants) {
+    SCOPED_TRACE(m.name);
+    // The decoder itself: the verdict, and no reservation past the schema.
+    Slice in(m.body);
+    Slice table;
+    uint32_t version;
+    ASSERT_TRUE(GetLengthPrefixedSlice(&in, &table) &&
+                GetVarint32(&in, &version));
+    QueryBounds decoded;
+    EXPECT_EQ(wire::DecodeBounds(&in, *schema_, &decoded).ok(), m.valid);
+    EXPECT_LE(decoded.projection.capacity(), ncols);
+    out.clear();
+    server->Handle(MsgType::kQuery, m.body, &out);
+    ExpectValidQueryReply(out, *schema_);
+    ASSERT_TRUE(wire.Send(m.body, &frames).ok());
+    ASSERT_FALSE(frames.empty());
+    if (m.valid) {
+      EXPECT_EQ(frames.back().type, MsgType::kQueryChunk);
+      EXPECT_NE(static_cast<MsgType>(out[4]), MsgType::kError);
+    } else {
+      ExpectBadBounds(out);
+      ASSERT_EQ(frames.size(), 1u);
+      ExpectBadBounds(frames[0].raw);
+    }
+  }
+  // The connection still serves a well-formed query.
+  ASSERT_TRUE(wire.Send(body, &frames).ok());
+  EXPECT_EQ(frames.back().type, MsgType::kQueryChunk);
 }
 
 // ---------------------------------------------------------------------------

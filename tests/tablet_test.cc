@@ -647,6 +647,48 @@ TEST(BlockTest, ColumnarLazyDecodeIsPerColumn) {
   EXPECT_EQ(contents.column(3).ints[19], 19);
 }
 
+// The cache charge fixed at parse time covers the block once every column
+// is decoded, for string columns stored as a dictionary and as plain
+// bytes, at short, medium and long values.
+TEST(BlockTest, CacheChargeCoversFullyDecodedBytesColumns) {
+  Schema s({Column("network", ColumnType::kInt64),
+            Column("device", ColumnType::kInt64),
+            Column("ts", ColumnType::kTimestamp),
+            Column("tag", ColumnType::kString)},
+           3);
+  for (size_t len : {8, 40, 75}) {
+    for (ChunkEncoding enc :
+         {ChunkEncoding::kDict, ChunkEncoding::kPlainBytes}) {
+      SCOPED_TRACE("len=" + std::to_string(len) +
+                   " enc=" + std::to_string(static_cast<int>(enc)));
+      Random rng(static_cast<uint32_t>(len));
+      std::vector<std::string> tags;  // 16 repeating tags for the dictionary.
+      for (int i = 0; i < 16; i++) tags.push_back(rng.Bytes(len));
+      BlockBuilder builder(&s, /*format_version=*/2);
+      for (int i = 0; builder.data_bytes() < 64 * 1024; i++) {
+        builder.Add({Value::Int64(1), Value::Int64(i % 256),
+                     Value::Ts(1700000000000000 + i),
+                     Value::String(enc == ChunkEncoding::kDict
+                                       ? tags[i % tags.size()]
+                                       : rng.Bytes(len))});
+      }
+      BlockContents bc;
+      ASSERT_TRUE(BlockContents::ParseColumnar(builder.Finish(), &bc).ok());
+      ASSERT_EQ(bc.chunks[3].encoding, static_cast<uint8_t>(enc));
+      size_t footprint = sizeof(BlockContents) + bc.payload.capacity() +
+                         bc.chunks.capacity() * sizeof(BlockContents::ChunkRef);
+      for (size_t c = 0; c < bc.num_columns(); c++) {
+        ASSERT_TRUE(bc.EnsureColumn(c).ok());
+        footprint +=
+            sizeof(ColumnValues) + bc.column(c).ApproximateMemoryUsage();
+      }
+      EXPECT_GE(bc.ApproximateMemoryUsage(), footprint)
+          << "footprint/charge = "
+          << static_cast<double>(footprint) / bc.ApproximateMemoryUsage();
+    }
+  }
+}
+
 TEST_F(TabletIoTest, FormatVersion1StillReadable) {
   TabletWriterOptions wopts;
   wopts.block_bytes = 512;
