@@ -1,9 +1,5 @@
 #include "cluster/cluster_client.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 #include "core/cursor.h"
 #include "core/db.h"
 #include "core/row_codec.h"
@@ -66,20 +62,10 @@ void ClusterClient::DropClient(const Endpoint& ep) {
 }
 
 void ClusterClient::Backoff(int attempt) {
-  int64_t delay = opts_.backoff_initial_ms;
-  for (int i = 0; i < attempt && delay < opts_.backoff_max_ms; i++) {
-    delay *= 2;
-  }
-  delay = std::min<int64_t>(delay, opts_.backoff_max_ms);
-  if (opts_.client.backoff_sleep) {
-    opts_.client.backoff_sleep(delay);
-  } else {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-  }
-}
-
-bool ClusterClient::IsConnectionError(const Status& s) {
-  return s.IsNetworkError() || s.IsUnavailable() || s.IsDeadlineExceeded();
+  // Unjittered: the cluster chaos logs pin these delays.
+  SleepBackoff(opts_.client.backoff_sleep,
+               BackoffDelayMs(opts_.backoff_initial_ms, opts_.backoff_max_ms,
+                              attempt));
 }
 
 bool ClusterClient::BodyHasCode(const std::string& body, ErrCode code) {

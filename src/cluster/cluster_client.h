@@ -89,7 +89,6 @@ class ClusterClient {
   Client* ClientFor(const Endpoint& ep);
   void DropClient(const Endpoint& ep);
   void Backoff(int attempt);
-  static bool IsConnectionError(const Status& s);
   static bool BodyHasCode(const std::string& body, wire::ErrCode code);
 
   /// One routed round trip to `group_id`'s primary with the full retry

@@ -92,7 +92,7 @@ struct TableStats {
   LatencyHistogram insert_group_size;
 
   /// Visits every exported counter as fn(name, value). This is THE
-  /// canonical export list: kStats/kStatsV2 (net/server), Prometheus text,
+  /// canonical export list: kStatsV2 (net/server), Prometheus text,
   /// and the self-monitoring sampler (obs/) all walk it, so a counter added
   /// here automatically appears in every output — and the parity pin test
   /// walks it too, so an output that stops using the visitor fails loudly.

@@ -417,17 +417,13 @@ Status Table::CheckUnique(const Row& row,
       return !mt->empty() && mt->min_ts() <= ts && ts <= mt->max_ts() &&
              mt->ContainsKey(row);
     };
-    for (const auto& [start, mt] : filling_) {
-      if (check_mem(mt)) {
-        stats_.duplicates_rejected.fetch_add(1);
-        return Status::AlreadyExists("duplicate key");
-      }
-    }
-    for (const auto& mt : sealed_) {
-      if (check_mem(mt)) {
-        stats_.duplicates_rejected.fetch_add(1);
-        return Status::AlreadyExists("duplicate key");
-      }
+    bool in_mem = false;
+    ForEachMemTabletLocked([&](const std::shared_ptr<MemTablet>& mt) {
+      in_mem = in_mem || check_mem(mt);
+    });
+    if (in_mem) {
+      stats_.duplicates_rejected.fetch_add(1);
+      return Status::AlreadyExists("duplicate key");
     }
     // Fast path 2: within the row's time period, larger than every
     // tablet's max key — provable from cached indexes alone. A duplicate
@@ -706,6 +702,9 @@ Status Table::FlushSet(std::vector<uint64_t> root_ids) {
         ++it;
       }
     }
+    // Until the commit below, queries keep reading the victims' rows from
+    // memory: their tablets are not in tablets_ yet.
+    flushing_ = victims;
   }
   if (victims.empty()) return Status::OK();
   if (is_retry) stats_.flush_retries.fetch_add(1);
@@ -821,6 +820,9 @@ Status Table::FlushSet(std::vector<uint64_t> root_ids) {
         }
       }
     }
+    // Every victim leaves flushing_ in this section, swapped for its
+    // tablet or requeued below, so a query sees each row exactly once.
+    flushing_.clear();
     if (!written.empty()) {
       // One atomic descriptor update covers the committed set (§3.4.3).
       // Commit durably first, then mutate in-memory state, so a descriptor
@@ -898,8 +900,9 @@ Status Table::FlushAll() {
   std::vector<uint64_t> roots;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [start, mt] : filling_) roots.push_back(mt->id());
-    for (const auto& mt : sealed_) roots.push_back(mt->id());
+    ForEachMemTabletLocked([&](const std::shared_ptr<MemTablet>& mt) {
+      roots.push_back(mt->id());
+    });
   }
   if (roots.empty()) return Status::OK();
   return FlushSet(std::move(roots));
@@ -909,12 +912,11 @@ Status Table::FlushThrough(Timestamp ts) {
   std::vector<uint64_t> roots;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [start, mt] : filling_) {
+    // A mid-flush victim is a root too: should that flush fail and requeue
+    // it, this call must still persist it before reporting success.
+    ForEachMemTabletLocked([&](const std::shared_ptr<MemTablet>& mt) {
       if (!mt->empty() && mt->min_ts() <= ts) roots.push_back(mt->id());
-    }
-    for (const auto& mt : sealed_) {
-      if (!mt->empty() && mt->min_ts() <= ts) roots.push_back(mt->id());
-    }
+    });
   }
   if (roots.empty()) return Status::OK();
   return FlushSet(std::move(roots));
@@ -1238,8 +1240,7 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
       mt->Snapshot(bounds, &rows);
       if (!rows.empty()) mem_snapshots.push_back(std::move(rows));
     };
-    for (const auto& [start, mt] : filling_) snap(mt);
-    for (const auto& mt : sealed_) snap(mt);
+    ForEachMemTabletLocked(snap);
     for (const auto& [fname, why] : doomed) QuarantineTabletLocked(fname, why);
   }
 
@@ -1416,8 +1417,7 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
                                  std::move(rows)});
       }
     };
-    for (const auto& [start, mt] : filling_) snap(mt);
-    for (const auto& mt : sealed_) snap(mt);
+    ForEachMemTabletLocked(snap);
   }
   if (sources.empty()) return Status::OK();
 
@@ -1548,7 +1548,7 @@ size_t Table::NumDiskTablets() const {
 
 size_t Table::NumMemTablets() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return filling_.size() + sealed_.size();
+  return filling_.size() + sealed_.size() + flushing_.size();
 }
 
 uint64_t Table::DiskBytes() const {
@@ -1561,8 +1561,9 @@ uint64_t Table::DiskBytes() const {
 uint64_t Table::ApproxMemBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& [start, mt] : filling_) total += mt->ApproximateBytes();
-  for (const auto& mt : sealed_) total += mt->ApproximateBytes();
+  ForEachMemTabletLocked([&](const std::shared_ptr<MemTablet>& mt) {
+    total += mt->ApproximateBytes();
+  });
   return total;
 }
 

@@ -301,6 +301,15 @@ class Table {
   /// inside the filling_ map node this function erases.
   void SealLocked(std::shared_ptr<MemTablet> mt);
 
+  /// Calls fn on every MemTablet holding rows: filling, sealed, and the
+  /// victims of a flush in progress. mu_ held.
+  template <typename Fn>
+  void ForEachMemTabletLocked(Fn&& fn) const {
+    for (const auto& [start, mt] : filling_) fn(mt);
+    for (const auto& mt : sealed_) fn(mt);
+    for (const auto& mt : flushing_) fn(mt);
+  }
+
   /// Flushes the given root tablets plus their dependency closures as one
   /// atomic descriptor update.
   Status FlushSet(std::vector<uint64_t> root_ids);
@@ -353,6 +362,11 @@ class Table {
 
   std::map<Timestamp, std::shared_ptr<MemTablet>> filling_;  // By period start.
   std::deque<std::shared_ptr<MemTablet>> sealed_;
+  // The running FlushSet's victims: out of filling_/sealed_ (so the flush
+  // backpressure thresholds on sealed_.size() do not count them) but still
+  // served to queries and uniqueness checks until the commit swaps each
+  // for its tablet — or requeues it — in one mu_ section.
+  std::vector<std::shared_ptr<MemTablet>> flushing_;
   // Retry state after flush/merge failures (guarded by mu_): attempts are
   // skipped until the backoff deadline passes; consecutive failures double
   // the delay up to flush_retry_max_backoff.

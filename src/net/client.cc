@@ -61,12 +61,27 @@ Status Client::BindTenantLocked() {
   return Status::OK();
 }
 
-void Client::Backoff(int attempt) {
-  int64_t delay = opts_.backoff_initial_ms;
-  for (int i = 0; i < attempt && delay < opts_.backoff_max_ms; i++) {
-    delay *= 2;
+bool IsConnectionError(const Status& s) {
+  return s.IsNetworkError() || s.IsUnavailable() || s.IsDeadlineExceeded();
+}
+
+int64_t BackoffDelayMs(int initial_ms, int max_ms, int attempt) {
+  int64_t delay = initial_ms;
+  for (int i = 0; i < attempt && delay < max_ms; i++) delay *= 2;
+  return std::min<int64_t>(delay, max_ms);
+}
+
+void SleepBackoff(const std::function<void(int64_t)>& sleep, int64_t ms) {
+  if (sleep) {
+    sleep(ms);
+  } else {
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
-  delay = std::min<int64_t>(delay, opts_.backoff_max_ms);
+}
+
+void Client::Backoff(int attempt) {
+  int64_t delay =
+      BackoffDelayMs(opts_.backoff_initial_ms, opts_.backoff_max_ms, attempt);
   if (delay <= 0) return;
   {
     // Uniform jitter in [delay/2, delay] decorrelates clients retrying
@@ -76,15 +91,7 @@ void Client::Backoff(int attempt) {
     delay = delay / 2 + static_cast<int64_t>(rng_.Uniform(
                             static_cast<uint64_t>(delay / 2 + 1)));
   }
-  if (opts_.backoff_sleep) {
-    opts_.backoff_sleep(delay);
-  } else {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-  }
-}
-
-bool Client::IsConnectionError(const Status& s) {
-  return s.IsNetworkError() || s.IsUnavailable() || s.IsDeadlineExceeded();
+  SleepBackoff(opts_.backoff_sleep, delay);
 }
 
 template <typename Fn>
@@ -583,36 +590,6 @@ Status Client::SetTtl(const std::string& table, Timestamp ttl) {
   LT_RETURN_IF_ERROR(RoundTrip(MsgType::kSetTtl, req, &type, &body));
   if (type == MsgType::kError) return ErrorFromBody(body);
   return Status::OK();
-}
-
-Status Client::Stats(const std::string& table,
-                     std::map<std::string, uint64_t>* stats) {
-  return WithRetries([&] {
-    std::string req;
-    PutLengthPrefixedSlice(&req, table);
-    MsgType type;
-    std::string body;
-    LT_RETURN_IF_ERROR(RoundTrip(MsgType::kStats, req, &type, &body));
-    if (type == MsgType::kError) return ErrorFromBody(body);
-    if (type != MsgType::kStatsResult) {
-      return Status::NetworkError("unexpected response");
-    }
-    Slice in(body);
-    uint32_t count;
-    if (!GetVarint32(&in, &count)) {
-      return Status::Corruption("bad stats reply");
-    }
-    stats->clear();
-    for (uint32_t i = 0; i < count; i++) {
-      Slice name;
-      uint64_t value;
-      if (!GetLengthPrefixedSlice(&in, &name) || !GetVarint64(&in, &value)) {
-        return Status::Corruption("bad stats reply");
-      }
-      (*stats)[name.ToString()] = value;
-    }
-    return Status::OK();
-  });
 }
 
 Status Client::Stats(const std::string& table, ServerStats* stats) {

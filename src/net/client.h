@@ -78,6 +78,16 @@ struct ClientOptions {
   net::Transport* transport = nullptr;
 };
 
+/// The retry policy's building blocks, shared by Client and the cluster
+/// router. True for errors where reconnect + retry may help: the peer
+/// vanished, a deadline expired, or the server said busy/shutting down.
+bool IsConnectionError(const Status& s);
+/// Capped exponential backoff before (0-based) retry `attempt`:
+/// `initial_ms` doubled per attempt, at most `max_ms`.
+int64_t BackoffDelayMs(int initial_ms, int max_ms, int attempt);
+/// Sleeps `ms` through `sleep` when set, on the real clock otherwise.
+void SleepBackoff(const std::function<void(int64_t)>& sleep, int64_t ms);
+
 /// Quantile summary of one server-side latency histogram (microseconds).
 struct HistogramQuantiles {
   uint64_t count = 0;
@@ -88,8 +98,8 @@ struct HistogramQuantiles {
   uint64_t max = 0;
 };
 
-/// Everything a kStatsV2 reply carries: the kStats counter map plus the
-/// server's (and optionally one table's) latency distributions.
+/// Everything a kStatsV2 reply carries: the counter map plus the server's
+/// (and optionally one table's) latency distributions.
 struct ServerStats {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, HistogramQuantiles> histograms;
@@ -168,17 +178,12 @@ class Client {
   Status WidenColumn(const std::string& table, const std::string& column);
   Status SetTtl(const std::string& table, Timestamp ttl);
 
-  /// Fetches server counters as a name -> value map: the shared block
-  /// cache's "cache.*" entries, plus `table`'s "table.*" entries when
-  /// `table` is non-empty. (Legacy kStats request — works against any
-  /// server version.)
-  Status Stats(const std::string& table,
-               std::map<std::string, uint64_t>* stats);
-
-  /// kStatsV2: the same counters plus "server.*" metrics and latency
-  /// quantiles — per-opcode request latencies (server.op.*.micros) and,
-  /// when `table` is non-empty, the table's insert/query/flush/merge/
-  /// block-read distributions (table.*_micros).
+  /// kStatsV2: counters — the shared block cache's "cache.*" entries,
+  /// "server.*" metrics and gauges, plus `table`'s "table.*" entries when
+  /// `table` is non-empty — and latency quantiles: per-opcode request
+  /// latencies (server.op.*.micros) and, when `table` is non-empty, the
+  /// table's insert/query/flush/merge/block-read distributions
+  /// (table.*_micros).
   Status Stats(const std::string& table, ServerStats* stats);
 
   /// One request / one response frame, no retries: the building block the
@@ -217,13 +222,10 @@ class Client {
   /// Transport errors propagate; an error *reply* is tolerated (pre-tenant
   /// servers do not know the opcode).
   Status BindTenantLocked();
-  /// Sleeps the backoff delay for the given (0-based) retry attempt.
-  /// Called WITHOUT mu_ held: the sleep must not stall other threads'
-  /// requests on this Client.
+  /// Sleeps the jittered backoff delay for the given (0-based) retry
+  /// attempt. Called WITHOUT mu_ held: the sleep must not stall other
+  /// threads' requests on this Client.
   void Backoff(int attempt);
-  /// True for errors where reconnect + retry may help: the peer vanished,
-  /// a deadline expired, or the server said busy/shutting down.
-  static bool IsConnectionError(const Status& s);
   /// Runs request attempts of `fn`, reconnecting and retrying on
   /// connection errors per the retry policy. Only for idempotent requests.
   /// Acquires mu_ around each attempt (callers must NOT hold it) and

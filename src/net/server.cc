@@ -90,7 +90,6 @@ const char* OpName(MsgType type) {
     case MsgType::kAppendColumn: return "append_column";
     case MsgType::kWidenColumn: return "widen_column";
     case MsgType::kSetTtl: return "set_ttl";
-    case MsgType::kStats: return "stats";
     case MsgType::kStatsV2: return "stats_v2";
     case MsgType::kCancel: return "cancel";
     case MsgType::kSetTenant: return "set_tenant";
@@ -831,21 +830,29 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
         (bounds.limit == 0 || bounds.limit > opts_.default_query_row_cap)) {
       bounds.limit = opts_.default_query_row_cap;
     }
+    // sched_mu_ is held from a slot request through the parking below, so
+    // a Release grant or queue-wait expiry that picks this waiter always
+    // finds it in parked_: one that found nothing would leave the query
+    // parked for good, holding the slot it was granted.
+    std::unique_lock<std::mutex> lock(sched_mu_, std::defer_lock);
     AdmissionController::Decision d;
     if (slot_exempt) {
       d = admission_->ChargeQuery(cs->tenant)
               ? AdmissionController::Decision::kAdmitted
               : AdmissionController::Decision::kShedQuota;
     } else {
+      lock.lock();
       d = admission_->Request(cs->id, cs->tenant);
       UpdateScanGauges();
     }
     if (d == AdmissionController::Decision::kShedQuota) {
+      if (lock.owns_lock()) lock.unlock();
       query_shed_->Increment();
       query_shed_quota_->Increment();
       return reply_now(ErrCode::kResourceExhausted, "tenant quota exceeded");
     }
     if (d == AdmissionController::Decision::kShedQueueFull) {
+      lock.unlock();
       query_shed_->Increment();
       query_shed_queue_full_->Increment();
       return reply_now(ErrCode::kResourceExhausted, "admission queue full");
@@ -861,7 +868,7 @@ LittleTableServer::SliceResult LittleTableServer::ExecuteQuerySlice(
       stream->deadline =
           idle_clock_->Now() + Timestamp{opts_.query_deadline_ms} * 1000;
     }
-    std::lock_guard<std::mutex> lock(sched_mu_);
+    if (!lock.owns_lock()) lock.lock();
     st = stream.get();
     cs->stream = std::move(stream);
     if (d == AdmissionController::Decision::kQueued) {
@@ -1167,8 +1174,14 @@ void LittleTableServer::WorkerLoop() {
         cs->tasks.clear();
       }
       // kDone with tasks left, or kYield (stream wants the CPU back):
-      // re-enter the run queue. kParked waits for its resume event.
-      if (sr != SliceResult::kParked) {
+      // re-enter the run queue. kParked waits for its resume event —
+      // unless a grant, expiry or cancel already came while this slice
+      // ran: it found the connection running, so its schedule was a no-op.
+      const bool resumed =
+          sr == SliceResult::kParked && cs->stream &&
+          (cs->stream->cancel.load() ||
+           (!cs->stream->queued && !cs->stream->paused));
+      if (sr != SliceResult::kParked || resumed) {
         ScheduleLocked(cs);
         if (cs->queued_run) sched_cv_.notify_one();
       }
@@ -1247,8 +1260,7 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
     }
     return;
   }
-  if (db_ == nullptr && type != MsgType::kPing && type != MsgType::kStats &&
-      type != MsgType::kStatsV2) {
+  if (db_ == nullptr && type != MsgType::kPing && type != MsgType::kStatsV2) {
     // Pure-extension server (the coordinator): health checks and
     // server-wide stats work, everything table- or db-shaped does not.
     return ReplyError(out, ErrCode::kInvalidArgument,
@@ -1308,25 +1320,7 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
 
     // Handled here rather than with the table-addressed requests below
     // because an empty name is legal: it asks for server-wide counters
-    // (today, the shared block cache) without any table's.
-    case MsgType::kStats: {
-      std::string name;
-      if (!GetName(&body, &name)) {
-        return ReplyError(out, ErrCode::kInvalidArgument, "bad request");
-      }
-      std::vector<std::pair<std::string, uint64_t>> entries;
-      Status s = CollectCounters(name, &entries);
-      if (!s.ok()) return ReplyStatus(out, s);
-      std::string resp;
-      PutVarint32(&resp, static_cast<uint32_t>(entries.size()));
-      for (const auto& [key, value] : entries) {
-        PutLengthPrefixedSlice(&resp, key);
-        PutVarint64(&resp, value);
-      }
-      *out += wire::Frame(MsgType::kStatsResult, resp);
-      return;
-    }
-
+    // and histograms without any table's.
     case MsgType::kStatsV2: {
       std::string name;
       if (!GetName(&body, &name)) {

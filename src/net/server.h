@@ -106,7 +106,7 @@ class LittleTableServer {
  public:
   /// Serves `db` (not owned) on 127.0.0.1:`port` (0 = ephemeral) with
   /// default options. `db` may be null for a pure-extension server (the
-  /// cluster coordinator): kPing, kStats/kStatsV2 with an empty table name,
+  /// cluster coordinator): kPing, kStatsV2 with an empty table name,
   /// and extension opcodes still work; everything else answers kError.
   LittleTableServer(DB* db, uint16_t port = 0);
   LittleTableServer(DB* db, const ServerOptions& options);
@@ -284,7 +284,7 @@ class LittleTableServer {
                   const std::string& message);
   void ReplyStatus(std::string* out, const Status& s);
 
-  /// Collects the kStats counter entries (shared block cache, plus
+  /// Collects the kStatsV2 storage counter entries (shared block cache, plus
   /// `name`'s table counters when non-empty). Returns NotFound for an
   /// unknown table.
   Status CollectCounters(const std::string& name,

@@ -38,10 +38,8 @@
 #define LITTLETABLE_SIM_CHAOS_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
+#include "sim/event_model.h"
 #include "util/status.h"
 
 namespace lt {
@@ -59,28 +57,9 @@ struct ChaosOptions {
   /// take one __sys_metrics_1s sample every N workload ops (driven at op
   /// boundaries on the harness thread, stamped with simulated time). The
   /// oracle then also checks §3.1 prefix durability of the system tables
-  /// across every crash, and the report carries the sampled-metrics dump.
+  /// across every crash, and the report carries the sampled-metrics dump
+  /// (ChaosReport::sys_metrics).
   int sample_every_ops = 0;
-};
-
-struct ChaosReport {
-  /// False if the oracle detected a contract violation.
-  bool ok = true;
-  /// Human-readable description of the first violation ("" when ok).
-  std::string failure;
-  /// One line per simulated action, deterministic from the seed. Two runs
-  /// with the same seed must produce identical logs (lt_sim --verify-seed
-  /// and sim_test assert exactly that).
-  std::vector<std::string> event_log;
-  /// Deterministic counters: ops by kind, faults injected, crashes
-  /// survived, rows confirmed durable.
-  std::map<std::string, uint64_t> counters;
-  /// With sample_every_ops > 0: one line per system-table row that
-  /// survived to the end of the run ("<table> <metric> ts=<t> v=<value>"),
-  /// in key order. A pure function of the seed — two same-seed runs must
-  /// produce byte-identical dumps (sim_test pins this), and the nightly
-  /// sweep uploads them as its sampled-metrics artifact.
-  std::vector<std::string> sys_metrics;
 };
 
 /// Runs one seeded chaos schedule. Returns a non-OK status only for

@@ -23,19 +23,9 @@ namespace {
 using wire::ErrCode;
 using wire::MsgType;
 
-constexpr Timestamp kEpoch = Timestamp{1700000000} * 1000000;
 constexpr uint16_t kPort = 7713;
-constexpr char kTable[] = "events";
+constexpr const char* kTable = EventModel::kTable;
 constexpr char kRoot[] = "overload";
-
-Schema EventsSchema() {
-  return Schema({Column("device", ColumnType::kInt64),
-                 Column("id", ColumnType::kInt64),
-                 Column("ts", ColumnType::kTimestamp),
-                 Column("kind", ColumnType::kString),
-                 Column("detail", ColumnType::kString)},
-                /*num_key_columns=*/3);
-}
 
 /// One firehose query in flight on its own raw connection. Until its drain
 /// op comes it is a slow reader: the server can only push as much as the
@@ -53,29 +43,16 @@ struct Pending {
                            // "cancelled" once terminal_seen.
 };
 
-class OverloadRun {
+class OverloadRun : public ChaosRecorder {
  public:
-  OverloadRun(const OverloadChaosOptions& opts, OverloadChaosReport* report)
-      : opts_(opts),
-        report_(report),
+  OverloadRun(const OverloadChaosOptions& opts, ChaosReport* report)
+      : ChaosRecorder(report),
+        opts_(opts),
         rng_(opts.seed ^ 0xda3e39cb94b95bdbull) {}
 
   Status Run();
 
  private:
-  void Log(const std::string& line) {
-    report_->event_log.push_back("t=" + std::to_string(clock_->Now() - kEpoch) +
-                                 " " + line);
-  }
-  void Count(const std::string& key, uint64_t n = 1) {
-    report_->counters[key] += n;
-  }
-  void Violation(const std::string& what) {
-    if (!report_->ok) return;
-    report_->ok = false;
-    report_->failure = what;
-    Log("ORACLE VIOLATION: " + what);
-  }
 
   Status Setup();
   Status Preload();
@@ -87,8 +64,8 @@ class OverloadRun {
   void DoInsert();
 
   /// Non-blocking: reads whatever every pending connection has, parses
-  /// complete frames, retires finished queries. Returns true if any byte
-  /// or retirement happened.
+  /// complete frames, retires finished queries. Returns false on an oracle
+  /// violation.
   bool PumpAll();
   /// Parses frames out of p's inbuf; returns false on an oracle violation.
   bool ParseFrames(Pending* p);
@@ -99,25 +76,21 @@ class OverloadRun {
   void FinalChecks();
 
   const OverloadChaosOptions opts_;
-  OverloadChaosReport* const report_;
   Random rng_;
 
-  std::shared_ptr<SimClock> clock_;
   std::unique_ptr<MemEnv> env_;
   std::unique_ptr<SimTransport> transport_;
   std::unique_ptr<DB> db_;
   std::unique_ptr<LittleTableServer> server_;
   std::unique_ptr<Client> client_;
 
-  Schema schema_{EventsSchema()};
+  Schema schema_{EventModel::EventsSchema()};
   std::deque<Pending> pending_;
   std::map<int64_t, int64_t> next_id_;
   uint64_t next_qid_ = 1;
 };
 
 Status OverloadRun::Setup() {
-  clock_ = std::make_shared<SimClock>();
-  clock_->Set(kEpoch);
   env_ = std::make_unique<MemEnv>();
 
   SimTransportOptions topts;
@@ -330,7 +303,6 @@ void OverloadRun::Retire(size_t idx) {
 }
 
 bool OverloadRun::PumpAll() {
-  bool progress = false;
   for (size_t i = 0; i < pending_.size();) {
     Pending& p = pending_[i];
     char buf[4096];
@@ -343,13 +315,11 @@ bool OverloadRun::PumpAll() {
         return false;
       }
       if (got == 0) break;
-      progress = true;
       p.inbuf.append(buf, got);
     }
     if (!ParseFrames(&p)) return false;
     if (p.terminal_seen && p.pre_oks == 0 && p.cancel_acks == 0) {
       Retire(i);
-      progress = true;
       continue;  // Same index now holds the next pending entry.
     }
     i++;
@@ -525,8 +495,8 @@ Status OverloadRun::Run() {
 }  // namespace
 
 Status RunOverloadChaos(const OverloadChaosOptions& options,
-                        OverloadChaosReport* report) {
-  *report = OverloadChaosReport();
+                        ChaosReport* report) {
+  *report = ChaosReport();
   if (options.ops < 0 || options.devices < 1 || options.max_pending < 1) {
     return Status::InvalidArgument("bad overload options");
   }

@@ -111,16 +111,17 @@ TEST_F(NetTest, StatsReplyCarriesCacheAndTableCounters) {
   ASSERT_TRUE(client_->QueryAll("usage", QueryBounds{}, &got).ok());
   ASSERT_TRUE(client_->QueryAll("usage", QueryBounds{}, &got).ok());
 
-  // Server-wide stats (empty table name): cache counters only.
-  std::map<std::string, uint64_t> stats;
-  ASSERT_TRUE(client_->Stats("", &stats).ok());
+  // Server-wide stats (empty table name): no table's counters.
+  ServerStats server_stats;
+  ASSERT_TRUE(client_->Stats("", &server_stats).ok());
+  std::map<std::string, uint64_t>& stats = server_stats.counters;
   ASSERT_TRUE(stats.count("cache.hits"));
   ASSERT_TRUE(stats.count("cache.capacity_bytes"));
   EXPECT_EQ(stats["cache.capacity_bytes"], 64ull << 20);
   EXPECT_EQ(stats.count("table.queries"), 0u);
 
   // Per-table stats ride along with the cache's.
-  ASSERT_TRUE(client_->Stats("usage", &stats).ok());
+  ASSERT_TRUE(client_->Stats("usage", &server_stats).ok());
   EXPECT_EQ(stats["table.rows_inserted"], 50u);
   EXPECT_EQ(stats["table.queries"], 2u);
   EXPECT_GT(stats["table.block_cache_misses"], 0u);
@@ -128,7 +129,7 @@ TEST_F(NetTest, StatsReplyCarriesCacheAndTableCounters) {
   EXPECT_GT(stats["cache.hits"], 0u);
   EXPECT_GT(stats["cache.charge_bytes"], 0u);
 
-  EXPECT_TRUE(client_->Stats("nope", &stats).IsNotFound());
+  EXPECT_TRUE(client_->Stats("nope", &server_stats).IsNotFound());
 }
 
 TEST_F(NetTest, StatsV2ReturnsLatencyQuantiles) {
@@ -173,14 +174,9 @@ TEST_F(NetTest, StatsV2ReturnsLatencyQuantiles) {
   EXPECT_GE(server_stats.histograms["server.op.query.micros"].count, 2u);
   EXPECT_EQ(server_stats.histograms.count("table.query_micros"), 0u);
 
-  // Unknown tables map to NotFound, as with legacy kStats.
+  // Unknown tables map to NotFound.
   ServerStats bad;
   EXPECT_TRUE(client_->Stats("nope", &bad).IsNotFound());
-
-  // The legacy kStats opcode still answers old clients.
-  std::map<std::string, uint64_t> legacy;
-  ASSERT_TRUE(client_->Stats("usage", &legacy).ok());
-  EXPECT_EQ(legacy["table.queries"], 2u);
 }
 
 TEST_F(NetTest, RenderStatsTextPrometheusFormat) {
@@ -483,7 +479,8 @@ TEST_F(NetTest, UnknownOpcodeRejectedWithoutDroppingConnection) {
   // kBadRequest error. The framing is intact, so the connection survives.
   net::Socket raw;
   ASSERT_TRUE(net::Connect("127.0.0.1", server_->port(), &raw).ok());
-  for (uint8_t op : {0x00, 0x3f, 0x7f, 0x80, 0xcc, 0xff}) {
+  // 13 is the retired kStats opcode.
+  for (uint8_t op : {0x00, 0x0d, 0x3f, 0x7f, 0x80, 0xcc, 0xff}) {
     std::string frame =
         wire::Frame(static_cast<wire::MsgType>(op), "junk body");
     ASSERT_TRUE(raw.WriteAll(frame.data(), frame.size()).ok());
@@ -506,15 +503,14 @@ TEST_F(NetTest, UnknownOpcodeRejectedWithoutDroppingConnection) {
 
 TEST_F(NetTest, StatsExposeFlushFailureCounters) {
   ASSERT_TRUE(client_->CreateTable("usage", UsageSchema(), 0).ok());
-  std::map<std::string, uint64_t> stats;
-  ASSERT_TRUE(client_->Stats("usage", &stats).ok());
+  ServerStats v2;
+  ASSERT_TRUE(client_->Stats("usage", &v2).ok());
+  std::map<std::string, uint64_t>& stats = v2.counters;
   ASSERT_TRUE(stats.count("table.flush_failures"));
   ASSERT_TRUE(stats.count("table.flush_retries"));
   ASSERT_TRUE(stats.count("table.merge_failures"));
   EXPECT_EQ(stats["table.flush_failures"], 0u);
 
-  ServerStats v2;
-  ASSERT_TRUE(client_->Stats("usage", &v2).ok());
   std::string text = RenderStatsText(v2, "usage");
   EXPECT_NE(
       text.find("littletable_table_flush_failures{table=\"usage\"} 0\n"),

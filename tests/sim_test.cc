@@ -795,7 +795,7 @@ TEST(ClusterChaosTest, PinnedSeedSweepPassesTheOracle) {
     sim::ClusterChaosOptions opts;
     opts.seed = 2000 + static_cast<uint64_t>(i);
     opts.ops = 80;
-    sim::ClusterChaosReport report;
+    sim::ChaosReport report;
     Status s = sim::RunClusterChaos(opts, &report);
     ASSERT_TRUE(s.ok()) << "seed " << opts.seed << ": " << s.ToString();
     ASSERT_TRUE(report.ok)
@@ -815,7 +815,7 @@ TEST(ClusterChaosTest, TwoGroupSweepPassesTheOracle) {
   opts.ops = 80;
   opts.groups = 2;
   opts.devices = 6;
-  sim::ClusterChaosReport report;
+  sim::ChaosReport report;
   ASSERT_TRUE(sim::RunClusterChaos(opts, &report).ok());
   ASSERT_TRUE(report.ok)
       << report.failure << "\nreproduce with: lt_sim --cluster --seed=31 "
@@ -826,7 +826,7 @@ TEST(ClusterChaosTest, SameSeedYieldsByteIdenticalEventLogs) {
   sim::ClusterChaosOptions opts;
   opts.seed = 7;
   opts.ops = 60;
-  sim::ClusterChaosReport a, b;
+  sim::ChaosReport a, b;
   ASSERT_TRUE(sim::RunClusterChaos(opts, &a).ok());
   ASSERT_TRUE(sim::RunClusterChaos(opts, &b).ok());
   ASSERT_TRUE(a.ok) << a.failure;

@@ -701,12 +701,14 @@ TEST_F(TableTest, GroupCommitMatchesSerialDurableState) {
             static_cast<uint64_t>(kThreads * kBatchesPerThread));
 }
 
-// An Env whose random-access reads block while a gate is closed; lets the
-// coalescing test park a group-commit leader inside its critical section
-// (on a uniqueness point query) with no reliance on scheduler timing.
-class ReadGateEnv final : public Env {
+// An Env whose random-access reads (kReads) or tablet-file creations
+// (kTabletWrites) block while a gate is closed. Lets a test park a
+// group-commit leader on a uniqueness point query, or a flush before it
+// writes its tablet, with no reliance on scheduler timing.
+class GateEnv final : public Env {
  public:
-  explicit ReadGateEnv(Env* base) : base_(base) {}
+  enum class Gate { kReads, kTabletWrites };
+  GateEnv(Env* base, Gate gate) : base_(base), gate_(gate) {}
 
   void CloseGate() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -719,7 +721,7 @@ class ReadGateEnv final : public Env {
     }
     cv_.notify_all();
   }
-  void WaitForBlockedReader() {
+  void WaitForBlocked() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return waiting_ > 0; });
   }
@@ -733,11 +735,16 @@ class ReadGateEnv final : public Env {
       std::unique_ptr<RandomAccessFile>* result) override {
     std::unique_ptr<RandomAccessFile> file;
     LT_RETURN_IF_ERROR(base_->NewRandomAccessFile(fname, &file));
-    result->reset(new GatedFile(std::move(file), this));
+    if (gate_ == Gate::kReads) {
+      result->reset(new GatedFile(std::move(file), this));
+    } else {
+      *result = std::move(file);
+    }
     return Status::OK();
   }
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override {
+    if (gate_ == Gate::kTabletWrites && fname.ends_with(".tab")) Pass();
     return base_->NewWritableFile(fname, result);
   }
   bool FileExists(const std::string& fname) override {
@@ -763,29 +770,32 @@ class ReadGateEnv final : public Env {
  private:
   class GatedFile final : public RandomAccessFile {
    public:
-    GatedFile(std::unique_ptr<RandomAccessFile> base, ReadGateEnv* env)
+    GatedFile(std::unique_ptr<RandomAccessFile> base, GateEnv* env)
         : base_(std::move(base)), env_(env) {}
     Status Read(uint64_t offset, size_t n, Slice* result,
                 char* scratch) const override {
-      {
-        std::unique_lock<std::mutex> lock(env_->mu_);
-        if (env_->closed_) {
-          env_->waiting_++;
-          env_->cv_.notify_all();
-          env_->cv_.wait(lock, [this] { return !env_->closed_; });
-          env_->waiting_--;
-        }
-      }
+      env_->Pass();
       return base_->Read(offset, n, result, scratch);
     }
     Status Size(uint64_t* size) const override { return base_->Size(size); }
 
    private:
     std::unique_ptr<RandomAccessFile> base_;
-    ReadGateEnv* const env_;
+    GateEnv* const env_;
   };
 
+  // Returns once the gate is open, counting itself as waiting meanwhile.
+  void Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!closed_) return;
+    waiting_++;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !closed_; });
+    waiting_--;
+  }
+
   Env* const base_;
+  const Gate gate_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool closed_ = false;
@@ -798,7 +808,7 @@ TEST_F(TableTest, GroupCommitCoalescesQueuedBatches) {
   // a gated disk read, queue six more batches behind it, release — the six
   // must commit as ONE group.
   MemEnv mem;
-  ReadGateEnv env(&mem);
+  GateEnv env(&mem, GateEnv::Gate::kReads);
   TableOptions opts = opts_;
   opts.bloom_bits_per_key = 0;  // Force uniqueness point queries to disk.
   std::unique_ptr<Table> table;
@@ -814,7 +824,7 @@ TEST_F(TableTest, GroupCommitCoalescesQueuedBatches) {
   env.CloseGate();
   std::thread leader(
       [&] { EXPECT_TRUE(table->InsertBatch({UsageRow(1, 3, t0, 0, 0.0)}).ok()); });
-  env.WaitForBlockedReader();
+  env.WaitForBlocked();
 
   constexpr int kFollowers = 6;
   std::vector<std::thread> followers;
@@ -840,6 +850,65 @@ TEST_F(TableTest, GroupCommitCoalescesQueuedBatches) {
   QueryResult all;
   ASSERT_TRUE(table->Query(QueryBounds{}, &all).ok());
   EXPECT_EQ(all.rows.size(), 8u);
+}
+
+TEST_F(TableTest, RowsStayVisibleWhileTheirMemTabletFlushes) {
+  // Park a flush after it has taken its victims out of the flush queue but
+  // before it writes their tablet. Every acknowledged row must still
+  // answer queries from memory, the uniqueness check must still see it,
+  // and once the commit swaps memtablet for tablet no row appears twice.
+  MemEnv mem;
+  GateEnv env(&mem, GateEnv::Gate::kTabletWrites);
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(Table::Create(&env, clock_, "/db/gated", "gated", UsageSchema(),
+                            opts_, &table)
+                  .ok());
+  const Timestamp t0 = Now();
+  constexpr int kDevices = 3;
+  constexpr int kTicks = 20;
+  for (int tick = 0; tick < kTicks; tick++) {
+    std::vector<Row> batch;
+    for (int d = 1; d <= kDevices; d++) {
+      batch.push_back(UsageRow(1, d, t0 + tick * kMicrosPerSecond, tick, 0.0));
+    }
+    ASSERT_TRUE(table->InsertBatch(batch).ok());
+  }
+  const size_t total = kDevices * kTicks;
+
+  auto expect_all_rows_once = [&](const char* when) {
+    QueryResult all;
+    ASSERT_TRUE(table->Query(QueryBounds{}, &all).ok()) << when;
+    ASSERT_EQ(all.rows.size(), total) << when;
+    const Schema schema = UsageSchema();
+    for (size_t i = 1; i < all.rows.size(); i++) {
+      EXPECT_LT(schema.CompareKeys(all.rows[i - 1], all.rows[i]), 0) << when;
+    }
+    for (int d = 1; d <= kDevices; d++) {
+      Row row;
+      bool found = false;
+      ASSERT_TRUE(table
+                      ->LatestRowForPrefix(
+                          Key{Value::Int64(1), Value::Int64(d)}, &row, &found)
+                      .ok());
+      ASSERT_TRUE(found) << when << " device " << d;
+      EXPECT_EQ(row[2].AsInt(), t0 + (kTicks - 1) * kMicrosPerSecond)
+          << when << " device " << d;
+    }
+  };
+
+  env.CloseGate();
+  Status flush_status;
+  std::thread flusher([&] { flush_status = table->FlushAll(); });
+  env.WaitForBlocked();
+  expect_all_rows_once("mid-flush");
+  EXPECT_TRUE(table->InsertBatch({UsageRow(1, 2, t0, 0, 0.0)}).IsAlreadyExists())
+      << "a duplicate of a mid-flush row must be rejected";
+  env.OpenGate();
+  flusher.join();
+  ASSERT_TRUE(flush_status.ok()) << flush_status.ToString();
+  EXPECT_EQ(table->NumMemTablets(), 0u);
+  EXPECT_GE(table->NumDiskTablets(), 1u);
+  expect_all_rows_once("after commit");
 }
 
 TEST_F(TableTest, GroupCommitKeepsBatchesAtomicUnderContention) {
