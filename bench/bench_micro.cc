@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the engine's hot paths: row codec,
 // block build/parse, lzmini, CRC32C, bytes-column chunk decode, MemTablet
-// insert, tablet write/scan, the response chunk encode, a scan over
-// loopback TCP, and the uniqueness fast paths. These are
+// insert, tablet write/scan, the merge cursor, the response chunk encode,
+// a scan over loopback TCP, and the uniqueness fast paths. These are
 // regression guards rather than paper figures; the figure reproductions
 // live in the bench_fig* binaries.
 #include <benchmark/benchmark.h>
@@ -50,6 +50,50 @@ void BM_RowEncodeDecode(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * (state.range(0) + 24));
 }
 BENCHMARK(BM_RowEncodeDecode)->Arg(64)->Arg(1024);
+
+// DecodeRow alone, on rows shaped like perfbench's usage table: 11 columns
+// (ints, timestamps, doubles, an int32) and one 60-90 B string tag, each
+// decoded into a fresh Row as Client::Query does.
+void BM_DecodeRow(benchmark::State& state) {
+  const Schema schema({Column("network", ColumnType::kInt64),
+                       Column("device", ColumnType::kInt64),
+                       Column("ts", ColumnType::kTimestamp),
+                       Column("prev_ts", ColumnType::kTimestamp),
+                       Column("sent_bytes", ColumnType::kInt64),
+                       Column("recv_bytes", ColumnType::kInt64),
+                       Column("packets", ColumnType::kInt64),
+                       Column("rate", ColumnType::kDouble),
+                       Column("peak_rate", ColumnType::kDouble),
+                       Column("clients", ColumnType::kInt32),
+                       Column("tag", ColumnType::kString)},
+                      3);
+  Random rng(11);
+  std::string encoded;
+  const int kRows = 256;
+  for (int i = 0; i < kRows; i++) {
+    const int64_t ts = 1700000000000000 + int64_t{i} * 20000000;
+    EncodeRow(&encoded, schema,
+              {Value::Int64(i / 64), Value::Int64(i), Value::Ts(ts),
+               Value::Ts(ts - 20000000),
+               Value::Int64(static_cast<int64_t>(rng.Uniform(1ull << 40))),
+               Value::Int64(static_cast<int64_t>(rng.Uniform(1ull << 40))),
+               Value::Int64(static_cast<int64_t>(rng.Uniform(1ull << 30))),
+               Value::Double(rng.NextDouble() * 1e6),
+               Value::Double(rng.NextDouble() * 2e6),
+               Value::Int32(static_cast<int32_t>(rng.Uniform(64))),
+               Value::String(std::string(60 + rng.Uniform(31), 'a' + i % 26))});
+  }
+  for (auto _ : state) {
+    Slice in(encoded);
+    for (int i = 0; i < kRows; i++) {
+      Row row;
+      if (!DecodeRow(&in, schema, &row).ok()) abort();
+      benchmark::DoNotOptimize(row.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_DecodeRow);
 
 void BM_Crc32c(benchmark::State& state) {
   Random rng(2);
@@ -169,6 +213,66 @@ void BM_TabletScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_TabletScan);
+
+// MergingCursor::Next over TabletCursors in perfbench's scan shape: each
+// of `fan_in` tablets is a time slice across every device, holding about
+// 7 consecutive rows per device, so the merge takes a short run from one
+// child and then moves to the next. The block cache holds every block, so
+// this is positioning (sort keys from the column arrays) and the heap.
+void BM_MergeNext(benchmark::State& state) {
+  const int fan_in = static_cast<int>(state.range(0));
+  constexpr int kRunLength = 7;
+  const int devices = 64 * 1024 / (kRunLength * fan_in);
+  const Schema schema({Column("network", ColumnType::kInt64),
+                       Column("device", ColumnType::kInt64),
+                       Column("ts", ColumnType::kTimestamp),
+                       Column("bytes", ColumnType::kInt64)},
+                      3);
+  MemEnv env;
+  auto cache = std::make_shared<Cache>(256ull << 20);
+  std::vector<std::shared_ptr<TabletReader>> readers;
+  for (int k = 0; k < fan_in; k++) {
+    const std::string fname = "/merge" + std::to_string(k) + ".tab";
+    TabletWriter writer(&env, fname, &schema, {});
+    for (int d = 0; d < devices; d++) {
+      for (int t = 0; t < kRunLength; t++) {
+        const int64_t tick = int64_t{k} * kRunLength + t;
+        if (!writer
+                 .Add({Value::Int64(d / 64), Value::Int64(d),
+                       Value::Ts(1700000000000000 + tick * 20000000),
+                       Value::Int64(tick * 1500 + d)})
+                 .ok()) {
+          abort();
+        }
+      }
+    }
+    TabletMeta meta;
+    if (!writer.Finish(&meta).ok()) abort();
+    std::shared_ptr<TabletReader> reader;
+    if (!TabletReader::Open(&env, fname, &reader, cache).ok()) abort();
+    readers.push_back(std::move(reader));
+  }
+  const uint64_t want = static_cast<uint64_t>(fan_in) * devices * kRunLength;
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<Cursor>> children;
+    for (const auto& reader : readers) {
+      std::unique_ptr<Cursor> c;
+      if (!reader->NewCursor(QueryBounds{}, &schema, nullptr, &c).ok()) {
+        abort();
+      }
+      children.push_back(std::move(c));
+    }
+    MergingCursor merged(&schema, std::move(children), Direction::kAscending);
+    uint64_t n = 0;
+    while (merged.Valid()) {
+      n++;
+      if (!merged.Next().ok()) abort();
+    }
+    if (n != want) abort();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * want));
+}
+BENCHMARK(BM_MergeNext)->Arg(1)->Arg(8)->Arg(43);
 
 // The "response chunk encode" rung: QueryStream to kQueryChunk row bytes,
 // as the server streams a scan. Args: fan-in (disk tablets, each a time

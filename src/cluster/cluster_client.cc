@@ -359,8 +359,8 @@ Status ClusterClient::Query(const std::string& table,
       // rows in scan (descending) order.
       std::reverse(part.rows.begin(), part.rows.end());
     }
-    cursors.push_back(std::make_unique<VectorCursor>(std::move(part.rows),
-                                                     bounds.direction));
+    cursors.push_back(std::make_unique<VectorCursor>(
+        std::move(part.rows), bounds.direction, schema.get()));
   }
   MergingCursor merge(schema.get(), std::move(cursors), bounds.direction);
   while (merge.Valid()) {

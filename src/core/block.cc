@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "core/sort_key.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/lzmini.h"
@@ -360,6 +361,10 @@ Status BlockReader::Resolve(size_t n) {
       r.kind = ResolvedCol::Kind::kDefault;
       r.default_bytes.clear();
       EncodeValue(&r.default_bytes, column.default_value, column.type);
+      r.default_key.clear();
+      if (c < schema_->num_key_columns()) {
+        AppendSortKeyCell(&r.default_key, column.default_value);
+      }
       continue;
     }
     LT_RETURN_IF_ERROR(EnsureColumn(c));
@@ -403,22 +408,83 @@ Status BlockReader::KeyAt(size_t i, Row* key) {
   }
   const BlockContents& bc = *contents_;
   const size_t nkeys = schema_->num_key_columns();
-  key->resize(nkeys);
   if (!bc.columnar) {
     // Key columns lead the row encoding, so we decode only them.
     Slice in(bc.payload.data() + bc.offsets[i],
              (i + 1 < bc.offsets.size() ? bc.offsets[i + 1] : bc.data_end) -
                  bc.offsets[i]);
+    key->clear();
     for (size_t c = 0; c < nkeys; c++) {
-      LT_RETURN_IF_ERROR(DecodeValue(&in, schema_->columns()[c].type,
-                                     &(*key)[c]));
+      LT_RETURN_IF_ERROR(DecodeCellInto(&in, schema_->columns()[c].type, key));
     }
     return Status::OK();
   }
+  key->resize(nkeys);
   if (resolved_ < nkeys) LT_RETURN_IF_ERROR(Resolve(nkeys));
   for (size_t c = 0; c < nkeys; c++) {
     LT_RETURN_IF_ERROR(CellAt(c, i, &(*key)[c]));
   }
+  return Status::OK();
+}
+
+Status BlockReader::SortKeyAt(size_t i, std::string* out) {
+  if (!contents_ || i >= contents_->num_rows()) {
+    return Status::InvalidArgument("row index");
+  }
+  const size_t nkeys = schema_->num_key_columns();
+  if (!contents_->columnar) {
+    LT_RETURN_IF_ERROR(KeyAt(i, &scratch_key_));
+    out->clear();
+    EncodeSortKey(out, *schema_, scratch_key_);
+    return Status::OK();
+  }
+  if (resolved_ < nkeys) LT_RETURN_IF_ERROR(Resolve(nkeys));
+  // Each cell is written as AppendSortKeyCell would write the Value that
+  // CellAt builds, and fails where CellAt fails.
+  size_t bound = 0;
+  for (size_t c = 0; c < nkeys; c++) {
+    const ResolvedCol& r = cols_[c];
+    if (r.kind == ResolvedCol::Kind::kDefault) {
+      bound += r.default_key.size();
+    } else if (r.kind == ResolvedCol::Kind::kBytes && i < r.rows) {
+      bound += MaxSortKeyBytesLen(r.spans[i].length);
+    } else {
+      bound += kSortKeyWordBytes;
+    }
+  }
+  out->resize(bound);
+  char* p = out->data();
+  for (size_t c = 0; c < nkeys; c++) {
+    const ResolvedCol& r = cols_[c];
+    if (r.kind == ResolvedCol::Kind::kDefault) {
+      memcpy(p, r.default_key.data(), r.default_key.size());
+      p += r.default_key.size();
+      continue;
+    }
+    if (i >= r.rows) return Status::Corruption("chunk row count mismatch");
+    switch (r.kind) {
+      case ResolvedCol::Kind::kInt:
+        p = PutSortKeyInt(p, r.ints[i]);
+        break;
+      case ResolvedCol::Kind::kInt32:
+        if (r.ints[i] < INT32_MIN || r.ints[i] > INT32_MAX) {
+          return Status::Corruption("int32 cell out of range");
+        }
+        p = PutSortKeyInt(p, r.ints[i]);
+        break;
+      case ResolvedCol::Kind::kDouble:
+        p = PutSortKeyDouble(p, r.dbls[i]);
+        break;
+      case ResolvedCol::Kind::kBytes:
+        p = PutSortKeyBytes(p, r.BytesAt(i));
+        break;
+      case ResolvedCol::Kind::kDefault:
+        break;
+      case ResolvedCol::Kind::kMismatch:
+        return Status::Corruption("chunk encoding does not match column type");
+    }
+  }
+  out->resize(static_cast<size_t>(p - out->data()));
   return Status::OK();
 }
 

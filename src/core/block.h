@@ -208,6 +208,14 @@ class BlockReader {
   /// resizing *key to exactly that. Columnar blocks touch only key chunks.
   Status KeyAt(size_t i, Row* key);
 
+  /// Writes row i's sort key (core/sort_key.h) into *out, replacing its
+  /// contents. A columnar block writes it straight from its decoded key
+  /// arrays and builds no Value, failing wherever KeyAt would: a short
+  /// array, an int32 cell out of range, or an arm that does not match the
+  /// column type is Corruption. Row-wise blocks decode the key cells and
+  /// encode them.
+  Status SortKeyAt(size_t i, std::string* out);
+
   /// Appends row i's EncodeRow bytes under the reader's schema to *out —
   /// the same bytes as EncodeRow over RowAt(i), with the same errors, but
   /// a columnar block writes them straight from its decoded column arrays
@@ -237,6 +245,7 @@ class BlockReader {
     const char* bytes = nullptr;  // kBytes: ColumnValues::bytes and spans.
     const ColumnValues::Span* spans = nullptr;
     std::string default_bytes;  // kDefault: the column default, encoded.
+    std::string default_key;    // kDefault key column: its sort key cell.
 
     Slice BytesAt(size_t i) const {
       return Slice(bytes + spans[i].offset, spans[i].length);
@@ -259,6 +268,7 @@ class BlockReader {
   // Reset and set_needed_columns start over.
   std::vector<ResolvedCol> cols_;
   size_t resolved_ = 0;
+  Row scratch_key_;  // SortKeyAt's key cells for row-wise blocks.
 };
 
 /// Compresses and frames a row-wise block payload (CRC + lzmini).

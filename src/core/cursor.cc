@@ -2,28 +2,41 @@
 
 #include <utility>
 
+#include "core/sort_key.h"
+
 namespace lt {
 
-MergingCursor::MergingCursor(const Schema* schema,
+void VectorCursor::EncodeKey() {
+  sort_key_.clear();
+  if (!Valid()) return;
+  const Row& r = row();
+  const size_t n = schema_ ? schema_->num_key_columns() : r.size();
+  for (size_t c = 0; c < n; c++) AppendSortKeyCell(&sort_key_, r[c]);
+}
+
+MergingCursor::MergingCursor(const Schema* /*schema*/,
                              std::vector<std::unique_ptr<Cursor>> children,
                              Direction direction)
-    : schema_(schema), children_(std::move(children)), direction_(direction) {
+    : children_(std::move(children)), direction_(direction) {
   for (const auto& c : children_) {
     if (!c->status().ok()) {
       status_ = c->status();
       return;
     }
   }
+  keys_.resize(children_.size());
   heap_.reserve(children_.size());
   for (size_t i = 0; i < children_.size(); i++) {
-    if (children_[i]->Valid()) heap_.push_back(i);
+    if (!children_[i]->Valid()) continue;
+    keys_[i] = children_[i]->sort_key();
+    heap_.push_back(i);
   }
   // Floyd build-heap: O(N), vs. O(N log N) for N pushes.
   for (size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
 }
 
 bool MergingCursor::Before(size_t a, size_t b) const {
-  int cmp = schema_->CompareKeys(children_[a]->key(), children_[b]->key());
+  int cmp = keys_[a].compare(keys_[b]);
   if (direction_ == Direction::kDescending) cmp = -cmp;
   return cmp < 0;
 }
@@ -59,6 +72,7 @@ Status MergingCursor::Next() {
     return status_;
   }
   if (child->Valid()) {
+    keys_[heap_[0]] = child->sort_key();
     SiftDown(0);  // Re-place the advanced child by its new key.
   } else {
     heap_[0] = heap_.back();  // Exhausted: drop it from the tournament.

@@ -20,18 +20,18 @@ namespace lt {
 /// in the cursor's scan direction by primary key.
 ///
 /// Positioning reads only key cells: merge ordering, trailing key bounds and
-/// the timestamp filter all look at key(), so a cursor over columnar blocks
-/// decodes nothing else while it steps. The full row comes only on demand,
-/// through ReadRow or AppendEncodedRow, for the rows a caller keeps.
+/// the timestamp filter all look at sort_key(), so a cursor over columnar
+/// blocks decodes nothing else while it steps, and builds no Value for the
+/// cells it does read. The full row comes only on demand, through ReadRow
+/// or AppendEncodedRow, for the rows a caller keeps.
 class Cursor {
  public:
   virtual ~Cursor() = default;
 
   virtual bool Valid() const = 0;
-  /// The current row's key cells: entries [0, num_key_columns) are the
-  /// primary key in schema order; any entries past them are unspecified.
-  /// Requires Valid().
-  virtual const Row& key() const = 0;
+  /// The current row's key cells as one memcmp-ordered sort key
+  /// (core/sort_key.h), valid until the next Next(). Requires Valid().
+  virtual Slice sort_key() const = 0;
   /// Copies the full current row into *out. Requires Valid().
   virtual Status ReadRow(Row* out) = 0;
   /// Appends the current row's EncodeRow bytes under `schema` (the schema
@@ -45,7 +45,13 @@ class Cursor {
 };
 
 /// A cursor over an in-memory vector of rows, already sorted ascending by
-/// key; iterates in `direction`.
+/// key; iterates in `direction`. It encodes each row's sort key as it
+/// steps onto the row, over `schema`'s key columns. Without a schema the
+/// sort key covers every cell of the row: that orders distinct keys just
+/// as the key cells alone do, since each cell encoding is prefix-free, but
+/// its last 8 bytes are then not `ts` (SortKeyTs does not apply), so it
+/// suits only merges of VectorCursors whose reader takes no ts from the
+/// key.
 ///
 /// Position is a signed int64_t rather than size_t on purpose: the
 /// one-before-the-start state of a descending scan over an empty (or
@@ -58,17 +64,19 @@ class Cursor {
 /// the cast to int64_t never truncates.
 class VectorCursor final : public Cursor {
  public:
-  VectorCursor(std::vector<Row> rows, Direction direction)
-      : rows_(std::move(rows)), direction_(direction) {
+  VectorCursor(std::vector<Row> rows, Direction direction,
+               const Schema* schema = nullptr)
+      : rows_(std::move(rows)), direction_(direction), schema_(schema) {
     pos_ = direction_ == Direction::kAscending
                ? 0
                : static_cast<int64_t>(rows_.size()) - 1;
+    EncodeKey();
   }
 
   bool Valid() const override {
     return pos_ >= 0 && pos_ < static_cast<int64_t>(rows_.size());
   }
-  const Row& key() const override { return row(); }
+  Slice sort_key() const override { return sort_key_; }
   Status ReadRow(Row* out) override {
     *out = row();
     return Status::OK();
@@ -79,31 +87,37 @@ class VectorCursor final : public Cursor {
   }
   Status Next() override {
     if (Valid()) pos_ += direction_ == Direction::kAscending ? 1 : -1;
+    EncodeKey();
     return Status::OK();
   }
   Status status() const override { return Status::OK(); }
 
  private:
   const Row& row() const { return rows_[static_cast<size_t>(pos_)]; }
+  /// Writes the current row's sort key into sort_key_, if Valid().
+  void EncodeKey();
 
   std::vector<Row> rows_;
   Direction direction_;
+  const Schema* schema_;
   int64_t pos_;
+  std::string sort_key_;
 };
 
-/// Merge-sorts N child cursors into one stream via an N-way tournament
-/// heap: heap_ holds the indices of the still-valid children, ordered by
-/// their current key (direction-adjusted), so advancing costs
-/// O(log N) comparisons instead of the previous O(N) rescan. Children must
-/// share the direction and never produce duplicate keys (LittleTable
-/// enforces key uniqueness at insert, §3.4.4).
+/// Merge-sorts N child cursors via an N-way tournament heap: heap_ holds
+/// the indices of the still-valid children, ordered by a memcmp of their
+/// current sort keys (direction-adjusted), so advancing costs O(log N)
+/// comparisons. Children must share the direction and never produce
+/// duplicate keys (LittleTable enforces key uniqueness at insert, §3.4.4).
 class MergingCursor final : public Cursor {
  public:
+  /// `schema` is the schema of the children's rows; the merge itself reads
+  /// only their sort keys, so it does not consult it.
   MergingCursor(const Schema* schema, std::vector<std::unique_ptr<Cursor>> children,
                 Direction direction);
 
   bool Valid() const override { return !heap_.empty(); }
-  const Row& key() const override { return top()->key(); }
+  Slice sort_key() const override { return keys_[heap_[0]]; }
   Status ReadRow(Row* out) override { return top()->ReadRow(out); }
   Status AppendEncodedRow(const Schema& schema, std::string* out) override {
     return top()->AppendEncodedRow(schema, out);
@@ -119,10 +133,10 @@ class MergingCursor final : public Cursor {
   void SiftDown(size_t i);
   void Fail(Status s);
 
-  const Schema* schema_;
   std::vector<std::unique_ptr<Cursor>> children_;
   Direction direction_;
   std::vector<size_t> heap_;  // Indices into children_; heap_[0] is next.
+  std::vector<Slice> keys_;   // Current sort key of each valid child.
   Status status_;
 };
 

@@ -9,10 +9,10 @@ void EncodeRow(std::string* dst, const Schema& schema, const Row& row) {
 }
 
 Status DecodeRow(Slice* input, const Schema& schema, Row* out) {
-  out->resize(schema.num_columns());
-  for (size_t i = 0; i < schema.num_columns(); i++) {
-    LT_RETURN_IF_ERROR(
-        DecodeValue(input, schema.columns()[i].type, &(*out)[i]));
+  out->clear();
+  out->reserve(schema.num_columns());
+  for (const Column& column : schema.columns()) {
+    LT_RETURN_IF_ERROR(DecodeCellInto(input, column.type, out));
   }
   return Status::OK();
 }
@@ -27,9 +27,7 @@ Status DecodeKey(Slice* input, const Schema& schema, Key* out) {
   out->clear();
   out->reserve(schema.num_key_columns());
   for (size_t i = 0; i < schema.num_key_columns(); i++) {
-    Value v;
-    LT_RETURN_IF_ERROR(DecodeValue(input, schema.columns()[i].type, &v));
-    out->push_back(std::move(v));
+    LT_RETURN_IF_ERROR(DecodeCellInto(input, schema.columns()[i].type, out));
   }
   return Status::OK();
 }

@@ -13,9 +13,8 @@ namespace lt {
 /// Appends the encoding of all cells of `row` to `dst`.
 void EncodeRow(std::string* dst, const Schema& schema, const Row& row);
 
-/// Decodes one row, consuming from `input`. On error *out holds
-/// num_columns() cells, of which only those before the failing one are
-/// decoded.
+/// Decodes one row, consuming from `input`, with DecodeValue's statuses.
+/// On error *out holds the cells before the failing one.
 Status DecodeRow(Slice* input, const Schema& schema, Row* out);
 
 /// Appends the encoding of the leading `key.size()` key columns.

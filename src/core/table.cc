@@ -6,6 +6,7 @@
 
 #include "core/merge_policy.h"
 #include "core/row_codec.h"
+#include "core/sort_key.h"
 #include "core/tablet_writer.h"
 #include "util/fault.h"
 #include "util/logger.h"
@@ -1056,7 +1057,7 @@ Status Table::MaybeMerge(Timestamp now) {
   Status ws;
   Row row;
   while (merged.Valid()) {
-    if (merged.key()[schema->ts_index()].AsInt() >= cutoff) {
+    if (SortKeyTs(merged.sort_key()) >= cutoff) {
       ws = merged.ReadRow(&row);
       if (!ws.ok()) break;
       ws = writer.Add(row);
@@ -1260,7 +1261,8 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
   for (auto& rows : mem_snapshots) {
     qs->scanned_.fetch_add(rows.size());
     cursors.push_back(
-        std::make_unique<VectorCursor>(std::move(rows), bounds.direction));
+        std::make_unique<VectorCursor>(std::move(rows), bounds.direction,
+                                       schema.get()));
   }
 
   auto merged = std::make_unique<MergingCursor>(
@@ -1290,10 +1292,9 @@ Status QueryStream::Pull(uint64_t max_scan_rows, const Emit& emit,
   }
   uint64_t steps = 0;
   while (merged_->Valid()) {
-    // The filter and the limit read key cells only; the row itself is
+    // The filter and the limit read the sort key only; the row itself is
     // built (or encoded) just for the rows the caller receives.
-    const Row& key = merged_->key();
-    bool match = bounds_.TsInRange(key[schema_->ts_index()].AsInt());
+    bool match = bounds_.TsInRange(SortKeyTs(merged_->sort_key()));
     if (match && returned_ >= limit_) {
       // The limit+1'th matching row proves there is more: stop without
       // consuming it so a continuation query re-finds it.
@@ -1471,7 +1472,7 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
       } else {
         stats_.rows_scanned.fetch_add(src.rows.size());
         cursors.push_back(std::make_unique<VectorCursor>(
-            std::move(src.rows), Direction::kDescending));
+            std::move(src.rows), Direction::kDescending, schema.get()));
       }
     }
     if (cursors.empty()) continue;
@@ -1483,7 +1484,7 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
     Row best;
     Timestamp best_ts = 0;
     while (merged.Valid()) {
-      Timestamp ts = merged.key()[schema->ts_index()].AsInt();
+      Timestamp ts = SortKeyTs(merged.sort_key());
       if (ts >= cutoff) {
         if (!have_best || ts > best_ts) {
           LT_RETURN_IF_ERROR(merged.ReadRow(&best));

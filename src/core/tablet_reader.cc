@@ -1,6 +1,7 @@
 #include "core/tablet_reader.h"
 
 #include "core/row_codec.h"
+#include "core/sort_key.h"
 #include "core/tablet_writer.h"  // kTabletMagic, kTabletTrailerSize
 #include "util/clock.h"
 #include "util/coding.h"
@@ -13,10 +14,13 @@ namespace lt {
 // the scan direction. The cursor holds a shared_ptr to its reader so merges
 // can drop tablets while queries stream from them.
 //
-// Positioning decodes only the key cells of each row, into key_; the full
-// row is built (ReadRow) or encoded straight from the block's column
-// arrays (AppendEncodedRow) only when the caller asks for it. Tablets
-// written under an older schema materialize and translate the row instead.
+// Positioning writes only the current row's sort key, straight from the
+// block's key arrays; key columns are never widened or appended by schema
+// evolution, so the tablet's key cells are already the current schema's.
+// The full row is built (ReadRow) or encoded straight from the
+// block's column arrays (AppendEncodedRow) only when the caller asks for
+// it. Tablets written under an older schema materialize and translate the
+// row instead.
 class TabletCursor final : public Cursor {
  public:
   TabletCursor(std::shared_ptr<const TabletReader> reader,
@@ -51,11 +55,18 @@ class TabletCursor final : public Cursor {
       }
       if (skipped_per_block_ > 0) block_.set_needed_columns(&needed_);
     }
+    // Trailing key bounds are checked against these, once per row.
+    if (min_key_) {
+      EncodeSortKeyPrefix(&min_prefix_, tablet_schema, min_key_->prefix);
+    }
+    if (max_key_) {
+      EncodeSortKeyPrefix(&max_prefix_, tablet_schema, max_key_->prefix);
+    }
     Seek();
   }
 
   bool Valid() const override { return valid_; }
-  const Row& key() const override { return key_; }
+  Slice sort_key() const override { return sort_key_; }
   Status status() const override { return status_; }
 
   Status ReadRow(Row* out) override {
@@ -163,29 +174,27 @@ class TabletCursor final : public Cursor {
     LoadCurrentKey();
   }
 
-  // Decodes the key cells at (block_idx_, row_idx_) and applies the
-  // trailing key bound. Key columns are never widened or appended by schema
-  // evolution, so the tablet's key cells are already the current schema's.
+  // Writes the sort key of (block_idx_, row_idx_) and applies the trailing
+  // key bound.
   void LoadCurrentKey() {
     if (!block_loaded_) {
       Status s = LoadBlockAt(block_idx_);
       if (!s.ok()) return Fail(s);
     }
-    Status s = block_.KeyAt(row_idx_, &key_);
+    Status s = block_.SortKeyAt(row_idx_, &sort_key_);
     if (!s.ok()) return Fail(s);
     if (scanned_) scanned_->fetch_add(1, std::memory_order_relaxed);
 
     // Trailing bound: max_key when ascending, min_key when descending.
-    const Schema& ts_schema = reader_->tablet_schema();
     if (direction_ == Direction::kAscending && max_key_) {
-      int c = ts_schema.CompareKeyToPrefix(key_, max_key_->prefix);
+      int c = CompareSortKeyToPrefix(sort_key_, max_prefix_);
       if (max_key_->inclusive ? c > 0 : c >= 0) {
         valid_ = false;
         return;
       }
     }
     if (direction_ == Direction::kDescending && min_key_) {
-      int c = ts_schema.CompareKeyToPrefix(key_, min_key_->prefix);
+      int c = CompareSortKeyToPrefix(sort_key_, min_prefix_);
       if (min_key_->inclusive ? c < 0 : c <= 0) {
         valid_ = false;
         return;
@@ -229,6 +238,7 @@ class TabletCursor final : public Cursor {
   QueryTrace* trace_;
   Direction direction_;
   std::optional<KeyBound> min_key_, max_key_;
+  std::string min_prefix_, max_prefix_;  // The key bounds, as sort keys.
   bool needs_translation_ = false;
   // Projection: per-tablet-column decode flags (empty = decode all), and
   // how many chunks each columnar block visit skips.
@@ -239,7 +249,7 @@ class TabletCursor final : public Cursor {
   bool block_loaded_ = false;
   size_t block_idx_ = 0;
   size_t row_idx_ = 0;
-  Row key_;  // Key cells of the current row; reused across steps.
+  std::string sort_key_;  // The current row's; reused across steps.
   bool valid_ = false;
   Status status_;
 };

@@ -108,44 +108,10 @@ void EncodeValue(std::string* dst, const Value& v, ColumnType t) {
 }
 
 Status DecodeValue(Slice* input, ColumnType t, Value* out) {
-  switch (t) {
-    case ColumnType::kInt32: {
-      uint64_t u;
-      if (!GetVarint64(input, &u)) return Status::Corruption("bad int32 cell");
-      int64_t v = ZigZagDecode(u);
-      if (v < INT32_MIN || v > INT32_MAX) {
-        return Status::Corruption("int32 cell out of range");
-      }
-      *out = Value::Int32(static_cast<int32_t>(v));
-      return Status::OK();
-    }
-    case ColumnType::kInt64:
-    case ColumnType::kTimestamp: {
-      uint64_t u;
-      if (!GetVarint64(input, &u)) return Status::Corruption("bad int64 cell");
-      *out = Value::Int64(ZigZagDecode(u));
-      return Status::OK();
-    }
-    case ColumnType::kDouble: {
-      uint64_t bits;
-      if (!GetFixed64(input, &bits)) return Status::Corruption("bad double cell");
-      double d;
-      __builtin_memcpy(&d, &bits, 8);
-      *out = Value::Double(d);
-      return Status::OK();
-    }
-    case ColumnType::kString:
-    case ColumnType::kBlob: {
-      Slice s;
-      if (!GetLengthPrefixedSlice(input, &s)) {
-        return Status::Corruption("bad bytes cell");
-      }
-      *out = t == ColumnType::kString ? Value::String(s.ToString())
-                                      : Value::Blob(s.ToString());
-      return Status::OK();
-    }
-  }
-  return Status::Corruption("unknown column type in cell");
+  Row cell;
+  LT_RETURN_IF_ERROR(DecodeCellInto(input, t, &cell));
+  *out = std::move(cell[0]);
+  return Status::OK();
 }
 
 Value DefaultValueFor(ColumnType t) {

@@ -9,10 +9,12 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "util/clock.h"
+#include "util/coding.h"
 #include "util/slice.h"
 #include "util/status.h"
 
@@ -44,6 +46,12 @@ class Value {
   static Value Ts(Timestamp t) { return Value(static_cast<int64_t>(t)); }
   static Value String(std::string s) { return Value(std::move(s)); }
   static Value Blob(std::string s) { return Value(std::move(s)); }
+  /// Constructs arm T (int32_t, int64_t, double or std::string) from
+  /// `args` in place, so a decoder can build a cell straight into a Row:
+  /// row.emplace_back(std::in_place_type<int64_t>, v).
+  template <typename T, typename... Args>
+  explicit Value(std::in_place_type_t<T> arm, Args&&... args)
+      : v_(arm, std::forward<Args>(args)...) {}
 
   bool is_i32() const { return std::holds_alternative<int32_t>(v_); }
   bool is_i64() const { return std::holds_alternative<int64_t>(v_); }
@@ -88,6 +96,46 @@ using Key = std::vector<Value>;
 /// timestamps are zigzag varints, doubles are fixed64 bit patterns, strings
 /// and blobs are length-prefixed.
 void EncodeValue(std::string* dst, const Value& v, ColumnType t);
+
+/// Decodes one value of type `t`, consuming from `input`, and appends it to
+/// *row, built in place. The one cell decoder: row, key and value decoders
+/// all call it. Inline, since row decoders call it per cell.
+inline Status DecodeCellInto(Slice* input, ColumnType t, Row* row) {
+  uint64_t u;
+  switch (t) {
+    case ColumnType::kInt32: {
+      if (!GetVarint64(input, &u)) return Status::Corruption("bad int32 cell");
+      const int64_t v = ZigZagDecode(u);
+      if (v < INT32_MIN || v > INT32_MAX) {
+        return Status::Corruption("int32 cell out of range");
+      }
+      row->emplace_back(std::in_place_type<int32_t>, static_cast<int32_t>(v));
+      return Status::OK();
+    }
+    case ColumnType::kInt64:
+    case ColumnType::kTimestamp:
+      if (!GetVarint64(input, &u)) return Status::Corruption("bad int64 cell");
+      row->emplace_back(std::in_place_type<int64_t>, ZigZagDecode(u));
+      return Status::OK();
+    case ColumnType::kDouble: {
+      if (!GetFixed64(input, &u)) return Status::Corruption("bad double cell");
+      double d;
+      __builtin_memcpy(&d, &u, 8);
+      row->emplace_back(std::in_place_type<double>, d);
+      return Status::OK();
+    }
+    case ColumnType::kString:
+    case ColumnType::kBlob:
+      if (!GetVarint64(input, &u) || input->size() < u) {
+        return Status::Corruption("bad bytes cell");
+      }
+      row->emplace_back(std::in_place_type<std::string>, input->data(),
+                        static_cast<size_t>(u));
+      input->remove_prefix(static_cast<size_t>(u));
+      return Status::OK();
+  }
+  return Status::Corruption("unknown column type in cell");
+}
 
 /// Decodes one value of type `t`, consuming from `input`.
 Status DecodeValue(Slice* input, ColumnType t, Value* out);

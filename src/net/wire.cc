@@ -28,9 +28,7 @@ Status DecodeKeyPrefix(Slice* in, const Schema& schema, Key* out) {
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; i++) {
-    Value v;
-    LT_RETURN_IF_ERROR(DecodeValue(in, schema.columns()[i].type, &v));
-    out->push_back(std::move(v));
+    LT_RETURN_IF_ERROR(DecodeCellInto(in, schema.columns()[i].type, out));
   }
   return Status::OK();
 }

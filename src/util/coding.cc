@@ -61,16 +61,6 @@ void PutVarint32(std::string* dst, uint32_t value) {
   dst->append(reinterpret_cast<char*>(buf), n);
 }
 
-char* EncodeVarint64(char* dst, uint64_t value) {
-  unsigned char* p = reinterpret_cast<unsigned char*>(dst);
-  while (value >= 0x80) {
-    *p++ = static_cast<unsigned char>(value) | 0x80;
-    value >>= 7;
-  }
-  *p++ = static_cast<unsigned char>(value);
-  return reinterpret_cast<char*>(p);
-}
-
 void PutVarint64(std::string* dst, uint64_t value) {
   char buf[10];
   dst->append(buf, EncodeVarint64(buf, value) - buf);
@@ -109,26 +99,6 @@ bool GetVarint32(Slice* input, uint32_t* value) {
   if (!GetVarint64(input, &v) || v > UINT32_MAX) return false;
   *value = static_cast<uint32_t>(v);
   return true;
-}
-
-bool GetVarint64(Slice* input, uint64_t* value) {
-  uint64_t result = 0;
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(input->data());
-  const unsigned char* limit = p + input->size();
-  for (int shift = 0; shift <= 63 && p < limit; shift += 7) {
-    uint64_t byte = *p++;
-    if (byte & 0x80) {
-      result |= (byte & 0x7f) << shift;
-    } else {
-      result |= byte << shift;
-      input->remove_prefix(p - reinterpret_cast<const unsigned char*>(
-                                   input->data()));
-      *value = result;
-      return true;
-    }
-  }
-  return false;
 }
 
 bool GetLengthPrefixedSlice(Slice* input, Slice* result) {

@@ -1,6 +1,10 @@
 #include "util/crc32c.h"
 
-#include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace lt {
 namespace crc32c {
@@ -35,9 +39,15 @@ const Table& GetTable() {
   return table;
 }
 
+using ExtendFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+ExtendFn Choose() {
+  return HardwareAvailable() ? ExtendHardware : ExtendPortable;
+}
+
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const Table& tab = GetTable();
   const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t crc = init_crc ^ 0xffffffffu;
@@ -55,6 +65,45 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
     crc = (crc >> 8) ^ tab.t[0][(crc ^ *p++) & 0xff];
   }
   return crc ^ 0xffffffffu;
+}
+
+#if defined(__x86_64__)
+
+bool HardwareAvailable() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+
+// The SSE4.2 crc32 instruction computes CRC32C, 8 bytes per step.
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t init_crc,
+                                                           const char* data,
+                                                           size_t n) {
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  while (n >= 8) {
+    uint64_t word;
+    memcpy(&word, data, 8);
+    crc = _mm_crc32_u64(crc, word);
+    data += 8;
+    n -= 8;
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  while (n--) crc32 = _mm_crc32_u8(crc32, static_cast<uint8_t>(*data++));
+  return crc32 ^ 0xffffffffu;
+}
+
+#else
+
+bool HardwareAvailable() { return false; }
+
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n) {
+  return ExtendPortable(init_crc, data, n);
+}
+
+#endif
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  static const ExtendFn extend = Choose();
+  return extend(init_crc, data, n);
 }
 
 }  // namespace crc32c

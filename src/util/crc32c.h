@@ -1,6 +1,7 @@
 // CRC32C (Castagnoli) checksums, used to detect corruption in tablet blocks
-// and footers. Software implementation with an 8-entry-per-byte slicing
-// table; the masked form guards against checksumming a checksum.
+// and footers. Extend uses the SSE4.2 crc32 instruction when the CPU has
+// it (checked once, at first use) and a slicing-by-4 table implementation
+// otherwise; the masked form guards against checksumming a checksum.
 #ifndef LITTLETABLE_UTIL_CRC32C_H_
 #define LITTLETABLE_UTIL_CRC32C_H_
 
@@ -12,6 +13,13 @@ namespace crc32c {
 
 /// Returns the CRC32C of data[0..n-1], extending `init_crc`.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The two implementations Extend chooses between, for tests and benches.
+/// On x86 ExtendHardware requires HardwareAvailable(); elsewhere it is
+/// ExtendPortable.
+bool HardwareAvailable();
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n);
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 /// Returns the CRC32C of data[0..n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

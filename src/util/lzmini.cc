@@ -16,6 +16,9 @@ constexpr size_t kHashSize = 1u << kHashBits;
 // The final kTailLiterals bytes of the input are always emitted as literals,
 // which lets the match loop read 4 bytes at a time without bounds checks.
 constexpr size_t kTailLiterals = 5;
+// No frame expands by more than this per body byte: a match token spends
+// at least three bytes (token, distance) plus one per 255 bytes of length.
+constexpr uint64_t kMaxExpansion = 255;
 
 inline uint32_t Load32(const char* p) {
   uint32_t v;
@@ -130,6 +133,11 @@ Status Decompress(const Slice& input, std::string* out) {
   uint64_t expected;
   if (!GetVarint64(&in, &expected)) {
     return Status::Corruption("lzmini: bad frame header");
+  }
+  // The header is untrusted: reject a size the body cannot expand to
+  // before reserving for it.
+  if (expected > kMaxExpansion * in.size()) {
+    return Status::Corruption("lzmini: size header exceeds frame body");
   }
   const size_t out_base = out->size();
   out->reserve(out_base + expected);

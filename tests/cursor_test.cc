@@ -1,12 +1,19 @@
 // Tests for the cursor layer: VectorCursor boundary behavior (the signed
 // position invariant) and the MergingCursor tournament heap against a
-// brute-force sorted merge over randomized child partitions.
+// brute-force sorted merge over randomized child partitions, including
+// string-keyed schemas merged from on-disk tablets and in-memory rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cursor.h"
+#include "core/sort_key.h"
+#include "core/tablet_reader.h"
+#include "core/tablet_writer.h"
+#include "env/mem_env.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -87,7 +94,8 @@ TEST(MergingCursorTest, AllChildrenEmpty) {
 
 // Randomized differential test: deal n distinct keys across k children,
 // merge, and compare against the sorted whole. Exercises heap sizes well
-// past the handful-of-tablets case, in both directions.
+// past the handful-of-tablets case, in both directions. The children have
+// no schema, so their sort keys cover every cell of the row.
 TEST(MergingCursorTest, RandomizedMergeMatchesSort) {
   Schema s = UsageSchema();
   Random rnd(42);
@@ -121,6 +129,137 @@ TEST(MergingCursorTest, RandomizedMergeMatchesSort) {
       if (dir == Direction::kDescending) cmp = -cmp;
       EXPECT_LT(cmp, 0) << "round=" << round << " i=" << i;
     }
+  }
+}
+
+// Keys with embedded 0x00/0xFF bytes, shared prefixes and integers of
+// every sign and width, dealt across TabletCursor children (every tablet
+// format, small blocks) and VectorCursor children, merged in both
+// directions under random key bounds: the merge must be the sorted,
+// bounded whole, and its sort key must be the encoding of each row's key.
+TEST(MergingCursorTest, RandomizedMergeOverTabletsAndVectors) {
+  const Schema schemas[] = {
+      testutil::EventSchema(),
+      Schema({Column("site", ColumnType::kString),
+              Column("dev", ColumnType::kInt32),
+              Column("tag", ColumnType::kBlob),
+              Column("ts", ColumnType::kTimestamp),
+              Column("v", ColumnType::kInt64)},
+             /*num_key_columns=*/4),
+      Schema({Column("net", ColumnType::kInt64),
+              Column("dev", ColumnType::kInt32),
+              Column("ts", ColumnType::kTimestamp),
+              Column("v", ColumnType::kInt64)},
+             /*num_key_columns=*/3)};
+  static const char kAlphabet[] = {'\0', '\x01', 'a', '\xfe', '\xff'};
+  Random rnd(77);
+  MemEnv env;
+  int file_no = 0;
+  for (int round = 0; round < 36; round++) {
+    const Schema& s = schemas[round % 3];
+    const Direction dir =
+        (round / 3) % 2 == 0 ? Direction::kAscending : Direction::kDescending;
+    // Small ranges make shared prefixes; wide ones differ in high bytes.
+    auto cell = [&](ColumnType t) {
+      const bool wide = rnd.Uniform(4) == 0;
+      if (t == ColumnType::kInt32) {
+        return Value::Int32(static_cast<int32_t>(
+            wide ? static_cast<int64_t>(rnd.Next() >> 32) - (int64_t{1} << 31)
+                 : rnd.UniformRange(-2, 2)));
+      }
+      if (t == ColumnType::kInt64 || t == ColumnType::kTimestamp) {
+        return Value::Int64(wide ? static_cast<int64_t>(rnd.Next())
+                                 : rnd.UniformRange(-3, 3));
+      }
+      std::string b(rnd.Uniform(4), '\0');
+      for (char& c : b) c = kAlphabet[rnd.Uniform(sizeof(kAlphabet))];
+      return t == ColumnType::kString ? Value::String(b) : Value::Blob(b);
+    };
+    std::vector<Row> all;
+    const int n = 1 + static_cast<int>(rnd.Uniform(300));
+    for (int i = 0; i < n; i++) {
+      Row r;
+      for (const Column& c : s.columns()) r.push_back(cell(c.type));
+      all.push_back(std::move(r));
+    }
+    auto less = [&](const Row& a, const Row& b) {
+      return s.CompareKeys(a, b) < 0;
+    };
+    std::sort(all.begin(), all.end(), less);
+    all.erase(std::unique(all.begin(), all.end(),
+                          [&](const Row& a, const Row& b) {
+                            return s.CompareKeys(a, b) == 0;
+                          }),
+              all.end());
+
+    QueryBounds bounds;
+    bounds.direction = dir;
+    auto prefix_of = [&](const Row& r) {
+      return Key(r.begin(), r.begin() + 1 + rnd.Uniform(s.num_key_columns()));
+    };
+    if (rnd.Uniform(2) == 0) {
+      bounds.min_key = KeyBound{prefix_of(all[rnd.Uniform(all.size())]),
+                                rnd.Uniform(2) == 0};
+    }
+    if (rnd.Uniform(2) == 0) {
+      bounds.max_key = KeyBound{prefix_of(all[rnd.Uniform(all.size())]),
+                                rnd.Uniform(2) == 0};
+    }
+
+    const size_t k = 1 + rnd.Uniform(8);
+    std::vector<std::vector<Row>> parts(k);
+    for (const Row& r : all) parts[rnd.Uniform(k)].push_back(r);
+    std::vector<std::unique_ptr<Cursor>> children;
+    std::vector<std::shared_ptr<TabletReader>> readers;
+    for (std::vector<Row>& p : parts) {
+      if (rnd.Uniform(2) == 0) {
+        std::vector<Row> in_range;
+        for (Row& r : p) {
+          if (bounds.KeyInRange(s, r)) in_range.push_back(std::move(r));
+        }
+        children.push_back(
+            std::make_unique<VectorCursor>(std::move(in_range), dir, &s));
+        continue;
+      }
+      const std::string fname = "/t/" + std::to_string(file_no++) + ".tab";
+      TabletWriterOptions wopts;
+      wopts.block_bytes = 64;
+      wopts.format_version = static_cast<uint32_t>(rnd.Uniform(3));
+      TabletWriter w(&env, fname, &s, wopts);
+      for (const Row& r : p) ASSERT_TRUE(w.Add(r).ok());
+      TabletMeta meta;
+      ASSERT_TRUE(w.Finish(&meta).ok());
+      std::shared_ptr<TabletReader> reader;
+      ASSERT_TRUE(TabletReader::Open(&env, fname, &reader).ok());
+      ASSERT_TRUE(reader->Load().ok());
+      std::unique_ptr<Cursor> c;
+      ASSERT_TRUE(reader->NewCursor(bounds, &s, nullptr, &c).ok());
+      children.push_back(std::move(c));
+      readers.push_back(std::move(reader));
+    }
+    MergingCursor m(&s, std::move(children), dir);
+
+    std::vector<Row> want;
+    for (const Row& r : all) {
+      if (bounds.KeyInRange(s, r)) want.push_back(r);
+    }
+    if (dir == Direction::kDescending) std::reverse(want.begin(), want.end());
+    size_t i = 0;
+    for (; m.Valid(); i++) {
+      ASSERT_LT(i, want.size()) << "round=" << round;
+      Row row;
+      ASSERT_TRUE(m.ReadRow(&row).ok());
+      ASSERT_EQ(s.CompareKeys(row, want[i]), 0)
+          << "round=" << round << " i=" << i;
+      ASSERT_EQ(row.back().Compare(want[i].back()), 0);
+      std::string key;
+      EncodeSortKey(&key, s, row);
+      ASSERT_EQ(m.sort_key().ToString(), key);
+      EXPECT_EQ(SortKeyTs(m.sort_key()), row[s.ts_index()].AsInt());
+      ASSERT_TRUE(m.Next().ok());
+    }
+    EXPECT_TRUE(m.status().ok());
+    EXPECT_EQ(i, want.size()) << "round=" << round;
   }
 }
 

@@ -2,6 +2,7 @@
 // data, and defensive decoding of corrupt frames.
 #include <gtest/gtest.h>
 
+#include "util/coding.h"
 #include "util/lzmini.h"
 #include "util/random.h"
 
@@ -139,6 +140,33 @@ TEST(LzminiTest, TrailingGarbageRejected) {
   compressed += "extra";
   std::string out;
   EXPECT_FALSE(lzmini::Decompress(compressed, &out).ok());
+}
+
+// The size header is untrusted: a claim the body cannot expand to fails
+// before anything is reserved for it, instead of throwing bad_alloc (2^56
+// bytes) or reserving 512 MiB only to fail on the next token (2^29).
+TEST(LzminiTest, OversizedHeaderRejectedBeforeAllocating) {
+  for (uint64_t claim : {(uint64_t{1} << 56) - 1, uint64_t{1} << 29}) {
+    std::string frame;
+    PutVarint64(&frame, claim);
+    frame += std::string(2, '\0');
+    ASSERT_EQ(frame.size(), claim > (uint64_t{1} << 30) ? 10u : 7u);
+    std::string out;
+    Status s = lzmini::Decompress(frame, &out);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_LT(out.capacity(), size_t{1} << 20) << "claim=" << claim;
+  }
+}
+
+// Long runs compress at close to the codec's maximum ratio; the header
+// check must still accept them.
+TEST(LzminiTest, MaximalExpansionStillDecodes) {
+  for (size_t n : {size_t{255}, size_t{4096}, size_t{1} << 20}) {
+    const std::string run(n, '\0');
+    std::string compressed;
+    lzmini::Compress(run, &compressed);
+    EXPECT_EQ(RoundTrip(run), run) << "n=" << n;
+  }
 }
 
 TEST(LzminiTest, DecompressAppendsToExistingOutput) {

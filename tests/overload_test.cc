@@ -447,6 +447,13 @@ TEST_F(OverloadNetTest, SlowReaderBoundedBuffering) {
 
   std::unique_ptr<net::Connection> a = RawConn();
   SendQuery(a.get(), QueryBounds{});
+  // The reader stays away until the server has filled the connection and
+  // parked the stream (a wall-clock poll, bounded); only then does it
+  // drain. Reading at once would race the server for the pause.
+  Counter* pauses = server_->metrics().GetCounter("server.stream_pauses");
+  for (int i = 0; i < 2500 && pauses->Value() == 0; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
   uint64_t rows = 0;
   uint8_t flags = 0;
   while ((flags & wire::kChunkFinal) == 0) {

@@ -28,6 +28,7 @@
 #include "core/block.h"
 #include "core/db.h"
 #include "core/row_codec.h"
+#include "core/sort_key.h"
 #include "core/table.h"
 #include "core/tablet_reader.h"
 #include "core/tablet_writer.h"
@@ -744,6 +745,85 @@ void RewriteTablet(Env* env, const std::string& path, const Schema& schema,
   PutFixed64(&out, footer_offset);
   PutFixed64(&out, magic);
   ASSERT_TRUE(WriteStringToFile(env, out, path, false).ok());
+}
+
+// Block level, on key columns: SortKeyAt fails exactly where and how
+// KeyAt does — an int32 key cell out of range, a key chunk whose arm does
+// not match its column type, an undecodable key chunk — and otherwise
+// writes the sort key of KeyAt's cells, in columnar and row-wise blocks.
+TEST(ScanEncodeKeyFaultTest, SortKeyAtFailsExactlyAsKeyAt) {
+  const Schema written = FaultSchema(ColumnType::kInt64, ColumnType::kInt64);
+  auto with_dev = [](ColumnType dev_type) {
+    return Schema({Column("net", ColumnType::kInt64),
+                   Column("dev", dev_type),
+                   Column("ts", ColumnType::kTimestamp),
+                   Column("n", ColumnType::kInt64),
+                   Column("x", ColumnType::kInt64)},
+                  /*num_key_columns=*/3);
+  };
+  struct KeyFault {
+    const char* name;
+    Schema read_as;
+    std::string message;  // Empty: any Corruption.
+    bool fill_dev_chunk;
+  };
+  // The messages are the columnar ones; row-wise blocks fail in
+  // DecodeValue with its own.
+  const KeyFault faults[] = {
+      {"none", written, "", false},
+      {"int32", with_dev(ColumnType::kInt32), "int32 cell out of range", false},
+      {"mismatch", with_dev(ColumnType::kString),
+       "chunk encoding does not match column type", false},
+      {"chunk", written, "", true},
+  };
+  for (uint32_t format : {0u, 2u}) {
+    BlockBuilder builder(&written, format);
+    for (int i = 0; i < 64; i++) {
+      const int64_t dev = i < 40 ? i : (int64_t{1} << 40) + i;
+      builder.Add({Value::Int64(1), Value::Int64(dev), Value::Ts(1000 + i),
+                   Value::Int64(i), Value::Int64(-i)});
+    }
+    const std::string image = builder.Finish();
+    for (const KeyFault& fault : faults) {
+      if (format == 0 && fault.fill_dev_chunk) continue;
+      SCOPED_TRACE(std::string(fault.name) + " format " +
+                   std::to_string(format));
+      BlockReader reader;
+      if (format == 0) {
+        ASSERT_TRUE(BlockReader::Parse(&fault.read_as, image, &reader).ok());
+      } else {
+        std::string bytes = image;
+        if (fault.fill_dev_chunk) {
+          BlockContents bc;
+          ASSERT_TRUE(BlockContents::ParseColumnar(bytes, &bc).ok());
+          const BlockContents::ChunkRef& ref = bc.chunks[1];
+          std::fill_n(bytes.begin() + ref.offset, ref.stored_len, '\xff');
+        }
+        ASSERT_TRUE(
+            BlockReader::ParseColumnar(&fault.read_as, bytes, &reader).ok());
+      }
+      size_t failures = 0;
+      for (size_t i = 0; i < reader.num_rows(); i++) {
+        Row key;
+        const Status want = reader.KeyAt(i, &key);
+        std::string sort_key;
+        const Status got = reader.SortKeyAt(i, &sort_key);
+        ASSERT_EQ(got.ToString(), want.ToString()) << "row " << i;
+        if (want.ok()) {
+          std::string expect;
+          EncodeSortKey(&expect, fault.read_as, key);
+          ASSERT_EQ(sort_key, expect) << "row " << i;
+          continue;
+        }
+        EXPECT_TRUE(want.IsCorruption()) << want.ToString();
+        if (format == 2 && !fault.message.empty()) {
+          EXPECT_EQ(want.message(), fault.message);
+        }
+        failures++;
+      }
+      EXPECT_EQ(failures > 0, std::string(fault.name) != "none");
+    }
+  }
 }
 
 struct Fault {

@@ -166,6 +166,44 @@ TEST(Crc32cTest, ExtendMatchesWholeBuffer) {
   EXPECT_EQ(whole, split);
 }
 
+// Extend picks the SSE4.2 path when the CPU has it; both paths must
+// compute the same CRC32C. The hardware path is skipped where it is absent.
+TEST(Crc32cTest, BothPathsMatchKnownVectors) {
+  const std::string zeros(32, '\0');
+  EXPECT_EQ(crc32c::ExtendPortable(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc32c::ExtendPortable(0, zeros.data(), zeros.size()),
+            0x8A9136AAu);
+  if (!crc32c::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2";
+  EXPECT_EQ(crc32c::ExtendHardware(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc32c::ExtendHardware(0, zeros.data(), zeros.size()),
+            0x8A9136AAu);
+}
+
+TEST(Crc32cTest, HardwareAgreesWithPortable) {
+  if (!crc32c::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2";
+  Random rnd(301);
+  std::string buf(256 + 8 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Next());
+  // Every length 0..256 at every start misalignment 0..7.
+  for (size_t align = 0; align < 8; align++) {
+    for (size_t len = 0; len <= 256; len++) {
+      const char* p = buf.data() + align;
+      ASSERT_EQ(crc32c::ExtendHardware(0, p, len),
+                crc32c::ExtendPortable(0, p, len))
+          << "align=" << align << " len=" << len;
+    }
+  }
+  // Extend splits: a CRC continued from any split point equals the whole.
+  const uint32_t whole = crc32c::ExtendPortable(0, buf.data(), 256);
+  for (size_t cut = 0; cut <= 256; cut++) {
+    const uint32_t head = crc32c::ExtendHardware(0, buf.data(), cut);
+    ASSERT_EQ(crc32c::ExtendHardware(head, buf.data() + cut, 256 - cut), whole)
+        << "cut=" << cut;
+    ASSERT_EQ(crc32c::ExtendPortable(head, buf.data() + cut, 256 - cut), whole)
+        << "cut=" << cut;
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTrip) {
   uint32_t crc = crc32c::Value("data", 4);
   EXPECT_NE(crc, crc32c::Mask(crc));
