@@ -68,13 +68,10 @@ void ClusterClient::Backoff(int attempt) {
                               attempt));
 }
 
-bool ClusterClient::BodyHasCode(const std::string& body, ErrCode code) {
-  return !body.empty() && static_cast<ErrCode>(body[0]) == code;
-}
-
-Status ClusterClient::RoutedCall(uint32_t group_id, MsgType op,
-                                 const std::string& inner, MsgType* rt,
-                                 std::string* rb, int* attempts_out) {
+Status ClusterClient::RoutedStream(uint32_t group_id, MsgType op,
+                                   const std::string& inner, bool retry_busy,
+                                   const FrameFn& on_frame,
+                                   int* attempts_out) {
   Status last = Status::Unavailable("no attempt made");
   for (int attempt = 0; attempt <= opts_.max_retries; attempt++) {
     if (attempt > 0) {
@@ -95,25 +92,54 @@ Status ClusterClient::RoutedCall(uint32_t group_id, MsgType op,
     PutVarint32(&body, group_id);
     PutVarint64(&body, map_.epoch);
     body += inner;
-    last = client->Call(op, body, rt, rb);
+    Status retry;  // Set when the primary asked for a retry.
+    bool first = true;
+    last = client->CallStream(
+        op, body, [&](MsgType type, Slice in, bool* done) {
+          if (type == MsgType::kError &&
+              wire::HasErrCode(in, ErrCode::kWrongShard)) {
+            retry = Status::Aborted("wrong shard");
+          } else if (type == MsgType::kError && retry_busy &&
+                     wire::HasErrCode(in, ErrCode::kServerBusy)) {
+            // Replication window full (or draining): give the shipper a
+            // chance.
+            retry = Status::Unavailable("shard busy");
+          }
+          if (!retry.ok()) {
+            *done = true;
+            return Status::OK();
+          }
+          const bool was_first = first;
+          first = false;
+          return on_frame(type, in, was_first, done);
+        });
     if (!last.ok()) {
       if (!IsConnectionError(last)) return last;
       DropClient(primary);
       continue;
     }
-    if (*rt == MsgType::kError && BodyHasCode(*rb, ErrCode::kWrongShard)) {
-      last = Status::Aborted("wrong shard");
-      continue;
-    }
-    if (*rt == MsgType::kError && BodyHasCode(*rb, ErrCode::kServerBusy)) {
-      // Replication window full (or draining): give the shipper a chance.
-      last = Status::Unavailable("shard busy");
+    if (!retry.ok()) {
+      last = retry;
       continue;
     }
     if (attempts_out != nullptr) *attempts_out = attempt;
     return Status::OK();
   }
   return last;
+}
+
+Status ClusterClient::RoutedCall(uint32_t group_id, MsgType op,
+                                 const std::string& inner, MsgType* rt,
+                                 std::string* rb, int* attempts_out) {
+  return RoutedStream(
+      group_id, op, inner, /*retry_busy=*/true,
+      [&](MsgType type, Slice in, bool, bool* done) {
+        *rt = type;
+        rb->assign(in.data(), in.size());
+        *done = true;
+        return Status::OK();
+      },
+      attempts_out);
 }
 
 Result<std::shared_ptr<const Schema>> ClusterClient::SchemaFor(
@@ -164,7 +190,7 @@ Status ClusterClient::CreateTable(const std::string& table,
     if (rt == MsgType::kError) {
       // A rerun after a partial earlier attempt hits AlreadyExists on the
       // groups that got the table; the goal state is reached either way.
-      if (BodyHasCode(rb, ErrCode::kAlreadyExists)) continue;
+      if (wire::HasErrCode(rb, ErrCode::kAlreadyExists)) continue;
       return Client::ErrorFromBody(Slice(rb));
     }
   }
@@ -209,11 +235,11 @@ Status ClusterClient::Insert(const std::string& table,
       if (rt != MsgType::kError) {
         return Status::NetworkError("unexpected response");
       }
-      if (BodyHasCode(rb, ErrCode::kSchemaChanged)) {
+      if (wire::HasErrCode(rb, ErrCode::kSchemaChanged)) {
         schema_changed = true;
         break;
       }
-      if (BodyHasCode(rb, ErrCode::kAlreadyExists) && attempts > 0) {
+      if (wire::HasErrCode(rb, ErrCode::kAlreadyExists) && attempts > 0) {
         // The batch landed on an earlier attempt whose connection died
         // before the ack — §3.4.4 key uniqueness turns the blind retry
         // into a duplicate-detection probe.
@@ -239,79 +265,33 @@ Status ClusterClient::QueryGroup(uint32_t group_id, const std::string& table,
   PutVarint32(&inner, schema->version());
   wire::EncodeBounds(&inner, *schema, bounds);
 
-  Status last = Status::Unavailable("no attempt made");
-  for (int attempt = 0; attempt <= opts_.max_retries; attempt++) {
-    if (attempt > 0) {
-      Backoff(attempt - 1);
-      RefreshMap();
-    }
-    const ShardGroupInfo* g = map_.GroupById(group_id);
-    if (g == nullptr) {
-      return Status::NotFound("no shard group " + std::to_string(group_id));
-    }
-    const Endpoint primary = g->primary;
-    Client* client = ClientFor(primary);
-    if (client == nullptr) {
-      last = Status::Unavailable("primary unreachable: " + primary.ToString());
-      continue;
-    }
-    std::string body;
-    PutVarint32(&body, group_id);
-    PutVarint64(&body, map_.epoch);
-    body += inner;
-    result->rows.clear();
-    result->more_available = false;
-    bool retry = false;
-    Status app_error;
-    last = client->CallStream(
-        MsgType::kRoutedQuery, body,
-        [&](MsgType type, Slice in, bool* done) -> Status {
-          if (type == MsgType::kError) {
-            const std::string eb = in.ToString();
-            if (BodyHasCode(eb, ErrCode::kWrongShard)) {
-              retry = true;
-            } else {
-              app_error = Client::ErrorFromBody(Slice(eb));
-            }
-            *done = true;
-            return Status::OK();
-          }
-          if (type != MsgType::kQueryChunk) {
-            return Status::NetworkError("unexpected response");
-          }
-          if (in.empty()) return Status::Corruption("bad chunk");
-          const uint8_t flags = static_cast<uint8_t>(in[0]);
-          in.remove_prefix(1);
-          uint32_t version, count;
-          if (!GetVarint32(&in, &version) || !GetVarint32(&in, &count)) {
-            return Status::Corruption("bad chunk");
-          }
-          if (version != schema->version()) {
-            return Status::Aborted("schema changed mid-query");
-          }
-          for (uint32_t i = 0; i < count; i++) {
-            LT_RETURN_IF_ERROR(
-                DecodeRow(&in, *schema, &result->rows.emplace_back()));
-          }
-          if (flags & wire::kChunkFinal) {
-            result->more_available = flags & wire::kChunkMoreAvailable;
-            *done = true;
-          }
+  Status reply;  // The primary's kError, which ends the stream in sync.
+  LT_RETURN_IF_ERROR(RoutedStream(
+      group_id, MsgType::kRoutedQuery, inner, /*retry_busy=*/false,
+      [&](MsgType type, Slice in, bool first, bool* done) {
+        if (first) {  // A retried attempt starts over.
+          result->rows.clear();
+          result->more_available = false;
+        }
+        if (type == MsgType::kError) {
+          reply = Client::ErrorFromBody(in);
+          *done = true;
           return Status::OK();
-        });
-    if (!last.ok()) {
-      if (!IsConnectionError(last)) return last;
-      DropClient(primary);
-      continue;
-    }
-    if (retry) {
-      last = Status::Aborted("wrong shard");
-      continue;
-    }
-    if (!app_error.ok()) return app_error;
-    return Status::OK();
-  }
-  return last;
+        }
+        if (type != MsgType::kQueryChunk) {
+          return Status::NetworkError("unexpected response");
+        }
+        wire::ChunkHeader h;
+        LT_RETURN_IF_ERROR(wire::DecodeChunkHeader(&in, &h));
+        LT_RETURN_IF_ERROR(
+            wire::DecodeChunkRows(&in, *schema, h, &result->rows));
+        if (h.flags & wire::kChunkFinal) {
+          result->more_available = h.flags & wire::kChunkMoreAvailable;
+          *done = true;
+        }
+        return Status::OK();
+      }));
+  return reply;
 }
 
 Status ClusterClient::Query(const std::string& table,
@@ -383,23 +363,10 @@ Status ClusterClient::QueryAll(const std::string& table,
                                std::vector<Row>* rows) {
   rows->clear();
   LT_ASSIGN_OR_RETURN(std::shared_ptr<const Schema> schema, SchemaFor(table));
-  QueryBounds page = bounds;
-  const uint64_t want = bounds.limit;  // 0 = all rows.
-  while (true) {
-    if (want > 0) page.limit = want - rows->size();
-    QueryResult result;
-    LT_RETURN_IF_ERROR(Query(table, page, &result));
-    for (Row& row : result.rows) rows->push_back(std::move(row));
-    if (!result.more_available) return Status::OK();
-    if (want > 0 && rows->size() >= want) return Status::OK();
-    if (rows->empty()) return Status::OK();  // Defensive: no progress.
-    Key last_key = schema->KeyOf(rows->back());
-    if (page.direction == Direction::kAscending) {
-      page.min_key = KeyBound{std::move(last_key), /*inclusive=*/false};
-    } else {
-      page.max_key = KeyBound{std::move(last_key), /*inclusive=*/false};
-    }
-  }
+  return QueryAllPages(*schema, bounds, rows,
+                       [&](const QueryBounds& page, QueryResult* result) {
+                         return Query(table, page, result);
+                       });
 }
 
 Status ClusterClient::LatestRow(const std::string& table, const Key& prefix,
@@ -432,20 +399,10 @@ Status ClusterClient::LatestRow(const std::string& table, const Key& prefix,
     if (rt != MsgType::kRowResult) {
       return Status::NetworkError("unexpected response");
     }
-    Slice in(rb);
-    if (in.empty()) return Status::Corruption("bad row result");
-    const bool has_row = in[0] != 0;
-    in.remove_prefix(1);
-    uint32_t version;
-    if (!GetVarint32(&in, &version)) {
-      return Status::Corruption("bad row result");
-    }
-    if (version != schema->version()) {
-      return Status::Aborted("schema changed mid-request");
-    }
-    if (!has_row) continue;
     Row cand;
-    LT_RETURN_IF_ERROR(DecodeRow(&in, *schema, &cand));
+    bool has_row;
+    LT_RETURN_IF_ERROR(wire::DecodeRowResult(rb, *schema, &cand, &has_row));
+    if (!has_row) continue;
     const Timestamp ts = cand[schema->ts_index()].AsInt();
     if (!*found || ts > best_ts) {
       best_ts = ts;

@@ -16,6 +16,7 @@
 #ifndef LITTLETABLE_CLUSTER_CLUSTER_CLIENT_H_
 #define LITTLETABLE_CLUSTER_CLUSTER_CLIENT_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -89,19 +90,30 @@ class ClusterClient {
   Client* ClientFor(const Endpoint& ep);
   void DropClient(const Endpoint& ep);
   void Backoff(int attempt);
-  static bool BodyHasCode(const std::string& body, wire::ErrCode code);
 
-  /// One routed round trip to `group_id`'s primary with the full retry
-  /// protocol (connection error or kWrongShard → backoff + map refresh +
-  /// retry). On success `*rt`/`*rb` hold the response frame — which may
-  /// still be an application-level kError — and `*attempts_out` (optional)
-  /// the number of send attempts that preceded it.
+  /// Sees each response frame of one attempt; `first` marks the attempt's
+  /// first frame.
+  using FrameFn = std::function<Status(wire::MsgType type, Slice body,
+                                       bool first, bool* done)>;
+
+  /// One routed request to `group_id`'s primary whose response is a frame
+  /// stream, with the full retry protocol: a connection error or
+  /// kWrongShard (and kServerBusy when `retry_busy`) → backoff + map
+  /// refresh + retry. Every other frame, an application-level kError
+  /// included, goes to `on_frame`; `*attempts_out` (optional) gets the
+  /// number of send attempts that preceded the answered one.
+  Status RoutedStream(uint32_t group_id, wire::MsgType op,
+                      const std::string& inner, bool retry_busy,
+                      const FrameFn& on_frame, int* attempts_out = nullptr);
+
+  /// RoutedStream for a one-frame response, retrying kServerBusy too:
+  /// `*rt`/`*rb` get the frame.
   Status RoutedCall(uint32_t group_id, wire::MsgType op,
                     const std::string& inner, wire::MsgType* rt,
                     std::string* rb, int* attempts_out = nullptr);
 
   /// Query one group (kRoutedQuery + kQuery inner), decoding the chunk
-  /// stream; same retry protocol as RoutedCall.
+  /// stream; kServerBusy is the caller's answer, not retried.
   Status QueryGroup(uint32_t group_id, const std::string& table,
                     const QueryBounds& bounds, QueryResult* result);
 

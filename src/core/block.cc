@@ -402,38 +402,22 @@ Status BlockReader::Resolve(size_t n) {
   return Status::OK();
 }
 
-Status BlockReader::KeyAt(size_t i, Row* key) {
+Status BlockReader::SortKeyAt(size_t i, std::string* out) {
   if (!contents_ || i >= contents_->num_rows()) {
     return Status::InvalidArgument("row index");
   }
   const BlockContents& bc = *contents_;
   const size_t nkeys = schema_->num_key_columns();
   if (!bc.columnar) {
-    // Key columns lead the row encoding, so we decode only them.
+    // Key columns lead the row encoding, so only they are decoded.
     Slice in(bc.payload.data() + bc.offsets[i],
              (i + 1 < bc.offsets.size() ? bc.offsets[i + 1] : bc.data_end) -
                  bc.offsets[i]);
-    key->clear();
+    scratch_key_.clear();
     for (size_t c = 0; c < nkeys; c++) {
-      LT_RETURN_IF_ERROR(DecodeCellInto(&in, schema_->columns()[c].type, key));
+      LT_RETURN_IF_ERROR(
+          DecodeCellInto(&in, schema_->columns()[c].type, &scratch_key_));
     }
-    return Status::OK();
-  }
-  key->resize(nkeys);
-  if (resolved_ < nkeys) LT_RETURN_IF_ERROR(Resolve(nkeys));
-  for (size_t c = 0; c < nkeys; c++) {
-    LT_RETURN_IF_ERROR(CellAt(c, i, &(*key)[c]));
-  }
-  return Status::OK();
-}
-
-Status BlockReader::SortKeyAt(size_t i, std::string* out) {
-  if (!contents_ || i >= contents_->num_rows()) {
-    return Status::InvalidArgument("row index");
-  }
-  const size_t nkeys = schema_->num_key_columns();
-  if (!contents_->columnar) {
-    LT_RETURN_IF_ERROR(KeyAt(i, &scratch_key_));
     out->clear();
     EncodeSortKey(out, *schema_, scratch_key_);
     return Status::OK();
@@ -566,13 +550,14 @@ Status BlockReader::AppendEncodedRow(size_t i, std::string* out) {
 
 Status BlockReader::SeekFirst(const Key& prefix, bool or_equal,
                               size_t* index) {
-  // Probes decode only key cells; a columnar block touches no value chunk.
-  Row key;
+  // Probes write only sort keys; a columnar block touches no value chunk.
+  std::string want, key;
+  EncodeSortKeyPrefix(&want, *schema_, prefix);
   size_t lo = 0, hi = num_rows();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    LT_RETURN_IF_ERROR(KeyAt(mid, &key));
-    int cmp = schema_->CompareKeyToPrefix(key, prefix);
+    LT_RETURN_IF_ERROR(SortKeyAt(mid, &key));
+    int cmp = CompareSortKeyToPrefix(key, want);
     bool before = or_equal ? cmp < 0 : cmp <= 0;
     if (before) {
       lo = mid + 1;

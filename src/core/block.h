@@ -204,16 +204,12 @@ class BlockReader {
   /// Decodes row i (rows are indexed in ascending key order).
   Status RowAt(size_t i, Row* out);
 
-  /// Decodes only the key cells of row i into (*key)[0, num_key_columns),
-  /// resizing *key to exactly that. Columnar blocks touch only key chunks.
-  Status KeyAt(size_t i, Row* key);
-
   /// Writes row i's sort key (core/sort_key.h) into *out, replacing its
   /// contents. A columnar block writes it straight from its decoded key
-  /// arrays and builds no Value, failing wherever KeyAt would: a short
-  /// array, an int32 cell out of range, or an arm that does not match the
-  /// column type is Corruption. Row-wise blocks decode the key cells and
-  /// encode them.
+  /// arrays and builds no Value, failing wherever RowAt fails on a key
+  /// cell: a short array, an int32 cell out of range, or an arm that does
+  /// not match the column type is Corruption. Row-wise blocks decode only
+  /// the leading key cells and encode them.
   Status SortKeyAt(size_t i, std::string* out);
 
   /// Appends row i's EncodeRow bytes under the reader's schema to *out —
@@ -252,7 +248,7 @@ class BlockReader {
     }
   };
   /// Extends the resolution of the current columnar block to its first
-  /// `n` columns: KeyAt needs the key columns, RowAt and AppendEncodedRow
+  /// `n` columns: SortKeyAt needs the key columns, RowAt and AppendEncodedRow
   /// all of them.
   Status Resolve(size_t n);
   /// The typed cell of resolved column `c` at row `i`: the column default

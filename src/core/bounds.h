@@ -2,7 +2,9 @@
 // inside a two-dimensional bounding box (§3.1) — primary keys or prefixes
 // thereof in one dimension, timestamps in the other. Bounds may be inclusive
 // or exclusive; results stream in ascending or descending key order with an
-// optional row limit.
+// optional row limit. A result that hits the server's row cap says so, and
+// the caller pages on from its last row (§3.5): QueryResult, ContinueAfter
+// and QueryAllPages are that protocol's one home.
 #ifndef LITTLETABLE_CORE_BOUNDS_H_
 #define LITTLETABLE_CORE_BOUNDS_H_
 
@@ -12,6 +14,7 @@
 
 #include "core/schema.h"
 #include "util/clock.h"
+#include "util/status.h"
 
 namespace lt {
 
@@ -93,7 +96,46 @@ struct QueryBounds {
     return TsInRange(row[schema.ts_index()].AsInt()) &&
            KeyInRange(schema, row);
   }
+
+  /// §3.5 continuation: moves the start bound, in the scan direction, just
+  /// past `last`'s key (exclusive), so re-submitting returns the rows after
+  /// it.
+  void ContinueAfter(const Schema& schema, const Row& last) {
+    KeyBound past{schema.KeyOf(last), /*inclusive=*/false};
+    (direction == Direction::kAscending ? min_key : max_key) = std::move(past);
+  }
 };
+
+/// The result of a query: rows in scan order, plus the §3.5 more-available
+/// flag the client uses to paginate with continuation queries.
+struct QueryResult {
+  std::vector<Row> rows;
+  bool more_available = false;
+  /// Rows the engine decoded to produce this result (Figure 9 numerator).
+  uint64_t rows_scanned = 0;
+};
+
+/// The §3.5 paging loop: `fetch(page, &result)` answers one page, and each
+/// page that says more-available is followed by one continued past its
+/// last row, until the result is complete, `bounds.limit` rows (0 = all)
+/// are in *rows, or a page makes no progress.
+template <typename Fetch>
+Status QueryAllPages(const Schema& schema, const QueryBounds& bounds,
+                     std::vector<Row>* rows, const Fetch& fetch) {
+  rows->clear();
+  QueryBounds page = bounds;
+  const uint64_t want = bounds.limit;
+  while (true) {
+    if (want > 0) page.limit = want - rows->size();
+    QueryResult result;
+    LT_RETURN_IF_ERROR(fetch(page, &result));
+    if (result.rows.empty()) return Status::OK();
+    for (Row& row : result.rows) rows->push_back(std::move(row));
+    if (!result.more_available) return Status::OK();
+    if (want > 0 && rows->size() >= want) return Status::OK();
+    page.ContinueAfter(schema, rows->back());
+  }
+}
 
 }  // namespace lt
 

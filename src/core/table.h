@@ -40,15 +40,6 @@
 
 namespace lt {
 
-/// The result of a query: rows in scan order, plus the §3.5 more-available
-/// flag the client uses to paginate with continuation queries.
-struct QueryResult {
-  std::vector<Row> rows;
-  bool more_available = false;
-  /// Rows the engine decoded to produce this result (Figure 9 numerator).
-  uint64_t rows_scanned = 0;
-};
-
 class Table;
 
 /// A pull-based query: the same snapshot visibility and TTL/limit semantics

@@ -217,7 +217,7 @@ class Client {
   explicit Client(const ClientOptions& options);
 
   /// Opens the transport connection if it is not currently open.
-  Status EnsureConnectedLocked();
+  Status EnsureConnectedLocked(int connect_timeout_ms);
   /// Binds opts_.network_id to a freshly opened connection (kSetTenant).
   /// Transport errors propagate; an error *reply* is tolerated (pre-tenant
   /// servers do not know the opcode).
@@ -238,10 +238,22 @@ class Client {
   /// on any transport error so the next request reconnects cleanly.
   Status RoundTrip(wire::MsgType type, const std::string& body,
                    wire::MsgType* resp_type, std::string* resp_body);
+  /// RoundTrip for a request whose success reply carries nothing: a kError
+  /// reply becomes its Status.
+  Status AckRoundTrip(wire::MsgType type, const std::string& body);
   Status ReadFrame(wire::MsgType* type, std::string* body);
+  /// CallStream with mu_ already held (inside WithRetries). Drops the
+  /// connection on any error, the callback's included.
+  Status CallStreamLocked(
+      wire::MsgType type, const std::string& body,
+      const std::function<Status(wire::MsgType type, Slice body, bool* done)>&
+          on_frame);
   /// Drops the cached schema for `table` (on kSchemaChanged).
   void InvalidateSchema(const std::string& table);
   Result<std::shared_ptr<const Schema>> SchemaLocked(const std::string& table);
+  /// The kGetTable round trip behind both: caches and returns the schema.
+  Result<std::shared_ptr<const Schema>> FetchSchemaLocked(
+      const std::string& table, Timestamp* ttl);
   Status PingLocked();
   Status QueryLocked(const std::string& table, const QueryBounds& bounds,
                      QueryResult* result);

@@ -41,8 +41,8 @@ constexpr size_t kChunkTargetBytes = 64 * 1024;
 constexpr size_t kOutbufCompactBytes = 1024 * 1024;
 
 // Room reserved ahead of a kQueryChunk frame's rows for its header: fixed32
-// length, type byte, flags byte, varint32 schema version, varint32 count.
-constexpr size_t kChunkHeaderMax = 4 + 1 + 1 + 5 + 5;
+// length, type byte, then the chunk header.
+constexpr size_t kChunkHeaderMax = 4 + 1 + wire::kMaxChunkHeaderBytes;
 
 // Writes the kQueryChunk header flush against the rows encoded into
 // `frame` after its kChunkHeaderMax gap, and returns the finished frame —
@@ -51,9 +51,7 @@ constexpr size_t kChunkHeaderMax = 4 + 1 + 1 + 5 + 5;
 Slice SealChunkFrame(std::string* frame, uint8_t flags, uint32_t version,
                      uint32_t rows) {
   std::string body_head;  // Fits the small-string buffer: no allocation.
-  body_head.push_back(static_cast<char>(flags));
-  PutVarint32(&body_head, version);
-  PutVarint32(&body_head, rows);
+  wire::EncodeChunkHeader(&body_head, {flags, version, rows});
   std::string header;
   const size_t row_bytes = frame->size() - kChunkHeaderMax;
   PutFixed32(&header,
@@ -1410,8 +1408,11 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
       if (version != schema->version()) {
         return ReplyError(out, ErrCode::kSchemaChanged, "schema changed");
       }
+      // Every encoded cell takes at least one byte, so a count the body
+      // cannot hold is rejected before it sizes an allocation.
       uint32_t count;
-      if (!GetVarint32(&body, &count) || count > 10u * 1000 * 1000) {
+      if (!GetVarint32(&body, &count) || count > 10u * 1000 * 1000 ||
+          count > body.size() / schema->num_columns()) {
         return ReplyError(out, ErrCode::kInvalidArgument, "bad row count");
       }
       std::vector<Row> rows;
@@ -1447,27 +1448,40 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
           (bounds.limit == 0 || bounds.limit > opts_.default_query_row_cap)) {
         bounds.limit = opts_.default_query_row_cap;
       }
-      QueryResult result;
-      Status s = table->Query(bounds, &result);
+      // Rows stream from the scan straight into chunk frames of kChunkRows
+      // rows; only the last carries the flags, and an empty result is one
+      // empty final chunk. A full frame is known not to be the last once
+      // the next row lands in the frame after it.
+      std::unique_ptr<QueryStream> qs;
+      Status s = table->NewQueryStream(bounds, &qs);
       if (!s.ok()) return ReplyStatus(out, s);
-      // Stream rows in chunks; the last chunk carries the flags.
-      size_t sent = 0;
-      do {
-        size_t n = std::min(kChunkRows, result.rows.size() - sent);
-        bool final = sent + n == result.rows.size();
-        std::string chunk;
-        uint8_t flags = 0;
-        if (final) flags |= wire::kChunkFinal;
-        if (final && result.more_available) flags |= wire::kChunkMoreAvailable;
-        chunk.push_back(static_cast<char>(flags));
-        PutVarint32(&chunk, schema->version());
-        PutVarint32(&chunk, static_cast<uint32_t>(n));
-        for (size_t i = 0; i < n; i++) {
-          EncodeRow(&chunk, *schema, result.rows[sent + i]);
+      const size_t out_start = out->size();
+      std::string frame(kChunkHeaderMax, '\0'), next(kChunkHeaderMax, '\0');
+      uint32_t n = 0;
+      while (true) {
+        bool have = false, exhausted = false;
+        s = qs->NextEncoded(0, n < kChunkRows ? &frame : &next, &have,
+                            &exhausted);
+        if (!s.ok()) {
+          out->resize(out_start);  // No partial answer before the error.
+          return ReplyStatus(out, s);
         }
-        *out += wire::Frame(MsgType::kQueryChunk, chunk);
-        sent += n;
-      } while (sent < result.rows.size());
+        if (exhausted) break;
+        if (!have) continue;
+        if (n < kChunkRows) {
+          n++;
+          continue;
+        }
+        const Slice full = SealChunkFrame(&frame, 0, schema->version(), n);
+        out->append(full.data(), full.size());
+        frame.swap(next);
+        next.resize(kChunkHeaderMax);
+        n = 1;
+      }
+      uint8_t flags = wire::kChunkFinal;
+      if (qs->more_available()) flags |= wire::kChunkMoreAvailable;
+      const Slice last = SealChunkFrame(&frame, flags, schema->version(), n);
+      out->append(last.data(), last.size());
       return;
     }
 
@@ -1483,9 +1497,7 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
       Status s = table->LatestRowForPrefix(prefix, &row, &found);
       if (!s.ok()) return ReplyStatus(out, s);
       std::string resp;
-      resp.push_back(found ? 1 : 0);
-      PutVarint32(&resp, schema->version());
-      if (found) EncodeRow(&resp, *schema, row);
+      wire::EncodeRowResult(&resp, *schema, found ? &row : nullptr);
       *out += wire::Frame(MsgType::kRowResult, resp);
       return;
     }

@@ -132,10 +132,6 @@ class LittleTableServer {
     return conn_count_.load(std::memory_order_relaxed);
   }
 
-  /// Historical alias for ConnectionCount(), from the thread-per-connection
-  /// server. Connections no longer own threads; the worker pool is fixed.
-  size_t NumConnThreads() { return ConnectionCount(); }
-
   /// Server-level metrics: per-opcode request latency histograms
   /// (server.op.<name>.micros) and connection/request/error counters
   /// (server.*). Exposed for kStatsV2 and for in-process embedding.

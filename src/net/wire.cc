@@ -1,5 +1,8 @@
 #include "net/wire.h"
 
+#include <algorithm>
+
+#include "core/row_codec.h"
 #include "util/coding.h"
 
 namespace lt {
@@ -30,6 +33,58 @@ Status DecodeKeyPrefix(Slice* in, const Schema& schema, Key* out) {
   for (uint32_t i = 0; i < n; i++) {
     LT_RETURN_IF_ERROR(DecodeCellInto(in, schema.columns()[i].type, out));
   }
+  return Status::OK();
+}
+
+void EncodeChunkHeader(std::string* dst, const ChunkHeader& header) {
+  dst->push_back(static_cast<char>(header.flags));
+  PutVarint32(dst, header.version);
+  PutVarint32(dst, header.count);
+}
+
+Status DecodeChunkHeader(Slice* in, ChunkHeader* header) {
+  if (in->empty()) return Status::Corruption("bad chunk");
+  header->flags = static_cast<uint8_t>((*in)[0]);
+  in->remove_prefix(1);
+  if (!GetVarint32(in, &header->version) || !GetVarint32(in, &header->count)) {
+    return Status::Corruption("bad chunk");
+  }
+  return Status::OK();
+}
+
+Status DecodeChunkRows(Slice* in, const Schema& schema,
+                       const ChunkHeader& header, std::vector<Row>* rows) {
+  if (header.version != schema.version()) {
+    return Status::Aborted("schema changed mid-query");
+  }
+  const size_t fit = in->size() / std::max<size_t>(1, schema.num_columns());
+  const size_t want = rows->size() + std::min<size_t>(header.count, fit);
+  if (want > rows->capacity()) {
+    rows->reserve(std::max(want, 2 * rows->capacity()));
+  }
+  for (uint32_t i = 0; i < header.count; i++) {
+    LT_RETURN_IF_ERROR(DecodeRow(in, schema, &rows->emplace_back()));
+  }
+  return Status::OK();
+}
+
+void EncodeRowResult(std::string* dst, const Schema& schema, const Row* row) {
+  dst->push_back(row != nullptr ? 1 : 0);
+  PutVarint32(dst, schema.version());
+  if (row != nullptr) EncodeRow(dst, schema, *row);
+}
+
+Status DecodeRowResult(Slice in, const Schema& schema, Row* row, bool* found) {
+  if (in.empty()) return Status::Corruption("bad row result");
+  const bool has_row = in[0] != 0;
+  in.remove_prefix(1);
+  uint32_t version;
+  if (!GetVarint32(&in, &version)) return Status::Corruption("bad row result");
+  if (version != schema.version()) {
+    return Status::Aborted("schema changed mid-query");
+  }
+  if (has_row) LT_RETURN_IF_ERROR(DecodeRow(&in, schema, row));
+  *found = has_row;
   return Status::OK();
 }
 

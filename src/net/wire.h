@@ -166,6 +166,40 @@ Status DecodeBounds(Slice* in, const Schema& schema, QueryBounds* out);
 void EncodeKeyPrefix(std::string* dst, const Schema& schema, const Key& key);
 Status DecodeKeyPrefix(Slice* in, const Schema& schema, Key* out);
 
+/// The head of a kQueryChunk body; `count` EncodeRow rows follow it.
+struct ChunkHeader {
+  uint8_t flags = 0;     // kChunkFinal, kChunkMoreAvailable.
+  uint32_t version = 0;  // Schema version the rows are encoded under.
+  uint32_t count = 0;
+};
+
+/// Largest encoded ChunkHeader: the flags byte and two varint32s.
+constexpr size_t kMaxChunkHeaderBytes = 1 + 5 + 5;
+
+void EncodeChunkHeader(std::string* dst, const ChunkHeader& header);
+/// Reads the header off the front of *in, leaving the rows.
+Status DecodeChunkHeader(Slice* in, ChunkHeader* header);
+
+/// Decodes the `header.count` rows that follow a chunk header, appending
+/// them to *rows. Aborted when the chunk's schema version is not
+/// `schema`'s (the table changed mid-query). Every encoded cell takes at
+/// least one byte, so the count is capped by the body's size before it
+/// sizes an allocation.
+Status DecodeChunkRows(Slice* in, const Schema& schema,
+                       const ChunkHeader& header, std::vector<Row>* rows);
+
+/// kRowResult body: found byte, schema version, then the row when found
+/// (`row` null = not found).
+void EncodeRowResult(std::string* dst, const Schema& schema, const Row* row);
+/// Decodes a kRowResult body sent under `schema`; Aborted on another
+/// schema version. *found is set only on success.
+Status DecodeRowResult(Slice in, const Schema& schema, Row* row, bool* found);
+
+/// True when kError body `body` carries `code`.
+inline bool HasErrCode(Slice body, ErrCode code) {
+  return !body.empty() && static_cast<ErrCode>(body[0]) == code;
+}
+
 /// Status <-> wire error mapping.
 ErrCode CodeForStatus(const Status& s);
 Status StatusForCode(ErrCode code, const std::string& message);

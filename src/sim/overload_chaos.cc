@@ -240,21 +240,15 @@ bool OverloadRun::ParseFrames(Pending* p) {
           Violation("chunk after terminal frame");
           return false;
         }
-        if (body.empty()) {
-          Violation("empty chunk");
-          return false;
-        }
-        const uint8_t flags = static_cast<uint8_t>(body[0]);
-        body.remove_prefix(1);
-        uint32_t version = 0, count = 0;
-        if (!GetVarint32(&body, &version) || !GetVarint32(&body, &count)) {
+        wire::ChunkHeader h;
+        if (!wire::DecodeChunkHeader(&body, &h).ok()) {
           Violation("bad chunk header");
           return false;
         }
-        p->rows += count;
-        if (flags & wire::kChunkFinal) {
+        p->rows += h.count;
+        if (h.flags & wire::kChunkFinal) {
           p->terminal_seen = true;
-          p->more_available = (flags & wire::kChunkMoreAvailable) != 0;
+          p->more_available = (h.flags & wire::kChunkMoreAvailable) != 0;
           p->outcome = "rows";
         }
         break;

@@ -33,25 +33,11 @@ Status DbBackend::QueryAll(const std::string& table, const QueryBounds& bounds,
   rows->clear();
   std::shared_ptr<Table> t = db_->GetTable(table);
   if (!t) return Status::NotFound("no such table: " + table);
-  std::shared_ptr<const Schema> schema = t->schema();
-  QueryBounds page = bounds;
-  const uint64_t want = bounds.limit;
-  while (true) {
-    if (want > 0) page.limit = want - rows->size();
-    QueryResult result;
-    // Each continuation page accumulates into the same statement trace.
-    LT_RETURN_IF_ERROR(t->Query(page, &result, trace));
-    for (Row& row : result.rows) rows->push_back(std::move(row));
-    if (!result.more_available) return Status::OK();
-    if (want > 0 && rows->size() >= want) return Status::OK();
-    if (rows->empty()) return Status::OK();
-    Key last_key = schema->KeyOf(rows->back());
-    if (page.direction == Direction::kAscending) {
-      page.min_key = KeyBound{std::move(last_key), /*inclusive=*/false};
-    } else {
-      page.max_key = KeyBound{std::move(last_key), /*inclusive=*/false};
-    }
-  }
+  // Each continuation page accumulates into the same statement trace.
+  return QueryAllPages(*t->schema(), bounds, rows,
+                       [&](const QueryBounds& page, QueryResult* result) {
+                         return t->Query(page, result, trace);
+                       });
 }
 
 Status DbBackend::LatestRow(const std::string& table, const Key& prefix,

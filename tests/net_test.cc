@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "core/db.h"
+#include "core/row_codec.h"
 #include "env/mem_env.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -428,7 +429,7 @@ TEST_F(NetTest, FinishedConnectionThreadsAreReaped) {
     ASSERT_TRUE(Client::Connect("127.0.0.1", server_->port(), &c).ok());
     ASSERT_TRUE(c->Ping().ok());
     c.reset();
-    tracked = server_->NumConnThreads();
+    tracked = server_->ConnectionCount();
     if (tracked < 10) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -499,6 +500,108 @@ TEST_F(NetTest, UnknownOpcodeRejectedWithoutDroppingConnection) {
   ASSERT_FALSE(payload.empty());
   EXPECT_EQ(static_cast<uint8_t>(payload[0]),
             static_cast<uint8_t>(wire::MsgType::kOk));
+}
+
+TEST_F(NetTest, InsertCountBeyondBodyIsRejectedBeforeDecoding) {
+  // A few bytes claiming 10 M rows: every encoded cell takes at least one
+  // byte, so the count is refused before it sizes an allocation.
+  ASSERT_TRUE(client_->CreateTable("usage", UsageSchema(), 0).ok());
+  std::string req;
+  PutLengthPrefixedSlice(&req, "usage");
+  PutVarint32(&req, 1);  // Schema version.
+  PutVarint32(&req, 10u * 1000 * 1000);
+  req += "rows";
+  wire::MsgType type;
+  std::string body;
+  ASSERT_TRUE(client_->Call(wire::MsgType::kInsert, req, &type, &body).ok());
+  ASSERT_EQ(type, wire::MsgType::kError);
+  const Status s = Client::ErrorFromBody(body);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(s.message(), "bad row count");
+}
+
+// A scripted server on real TCP for client-side protocol faults: it answers
+// kPing and kGetTable, and each kQuery with the next entry of `replies`.
+class FakeServer {
+ public:
+  explicit FakeServer(std::vector<std::string> replies)
+      : replies_(std::move(replies)) {
+    EXPECT_TRUE(net::Transport::Tcp()->Listen(0, &listener_).ok());
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~FakeServer() {
+    listener_->Close();
+    thread_.join();
+  }
+  FakeServer(const FakeServer&) = delete;
+  FakeServer& operator=(const FakeServer&) = delete;
+  uint16_t port() const { return listener_->port(); }
+
+ private:
+  void Serve() {
+    std::unique_ptr<net::Connection> conn;
+    while (listener_->Accept(&conn).ok()) {
+      while (true) {
+        char len_buf[4];
+        if (!conn->ReadAll(len_buf, 4).ok()) break;
+        std::string payload(DecodeFixed32(len_buf), '\0');
+        if (!conn->ReadAll(payload.data(), payload.size()).ok()) break;
+        std::string reply;
+        switch (static_cast<wire::MsgType>(payload[0])) {
+          case wire::MsgType::kGetTable: {
+            std::string info;
+            UsageSchema().EncodeTo(&info);
+            PutVarint64(&info, 0);  // TTL.
+            reply = wire::Frame(wire::MsgType::kTableInfo, info);
+            break;
+          }
+          case wire::MsgType::kQuery:
+            reply = next_ < replies_.size() ? replies_[next_++] : "";
+            break;
+          default:
+            reply = wire::Frame(wire::MsgType::kOk, "");
+        }
+        if (!conn->WriteAll(reply.data(), reply.size()).ok()) break;
+      }
+    }
+  }
+
+  std::vector<std::string> replies_;
+  size_t next_ = 0;
+  std::unique_ptr<net::Listener> listener_;
+  std::thread thread_;
+};
+
+std::string ChunkFrame(uint8_t flags, uint32_t version,
+                       const std::vector<Row>& rows) {
+  std::string body;
+  wire::EncodeChunkHeader(
+      &body, {flags, version, static_cast<uint32_t>(rows.size())});
+  for (const Row& row : rows) EncodeRow(&body, UsageSchema(), row);
+  return wire::Frame(wire::MsgType::kQueryChunk, body);
+}
+
+TEST(NetRobustnessTest, QueryErrorMidStreamDropsTheConnection) {
+  // The first query's first chunk names the wrong schema version, so the
+  // client fails it with its final chunk still unread. Reading on would
+  // hand that stale chunk to the next query as its answer; the client
+  // must reconnect instead.
+  const Row stale = UsageRow(1, 1, 100, 1, 0);
+  const Row fresh = UsageRow(2, 2, 200, 2, 0);
+  FakeServer server({ChunkFrame(0, 2, {}) +
+                         ChunkFrame(wire::kChunkFinal, 1, {stale}),
+                     ChunkFrame(wire::kChunkFinal, 1, {fresh})});
+  ClientOptions opts;
+  opts.read_timeout_ms = 5000;
+  std::unique_ptr<Client> client;
+  ASSERT_TRUE(Client::Connect("127.0.0.1", server.port(), opts, &client).ok());
+  QueryResult result;
+  const Status s = client->Query("usage", QueryBounds{}, &result);
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+  ASSERT_TRUE(client->Query("usage", QueryBounds{}, &result).ok());
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0], fresh);
+  EXPECT_EQ(client->connect_count(), 2u);
 }
 
 TEST_F(NetTest, StatsExposeFlushFailureCounters) {
@@ -685,7 +788,7 @@ TEST(NetRobustnessTest, StopDrainsInFlightQueryAndRejectsNewFrames) {
   // The in-flight query completed in full despite the concurrent Stop().
   EXPECT_TRUE(query_ok.load());
   EXPECT_EQ(got_rows.load(), 2000u);
-  EXPECT_EQ(server.NumConnThreads(), 0u);
+  EXPECT_EQ(server.ConnectionCount(), 0u);
   EXPECT_GE(CounterValue(&server, "server.shutdown_rejects"), 1);
 }
 

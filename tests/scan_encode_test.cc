@@ -748,10 +748,16 @@ void RewriteTablet(Env* env, const std::string& path, const Schema& schema,
 }
 
 // Block level, on key columns: SortKeyAt fails exactly where and how
-// KeyAt does — an int32 key cell out of range, a key chunk whose arm does
-// not match its column type, an undecodable key chunk — and otherwise
-// writes the sort key of KeyAt's cells, in columnar and row-wise blocks.
-TEST(ScanEncodeKeyFaultTest, SortKeyAtFailsExactlyAsKeyAt) {
+// RowAt fails on the key cells — an int32 key cell out of range, a key
+// chunk whose arm does not match its column type, an undecodable key
+// chunk — and otherwise writes EncodeSortKey over RowAt's key cells, in
+// columnar and row-wise blocks. RowAt is the reference because it is the
+// decode every query result goes through. A columnar row fails at its
+// first bad cell in column order, and the key columns come first. A
+// row-wise block is read through a second reader whose schema has only the
+// key columns: a misread key cell there can shift the later cells, so the
+// full-row RowAt may fail where the key cells decode.
+TEST(ScanEncodeKeyFaultTest, SortKeyAtFailsExactlyAsRowAt) {
   const Schema written = FaultSchema(ColumnType::kInt64, ColumnType::kInt64);
   auto with_dev = [](ColumnType dev_type) {
     return Schema({Column("net", ColumnType::kInt64),
@@ -802,16 +808,25 @@ TEST(ScanEncodeKeyFaultTest, SortKeyAtFailsExactlyAsKeyAt) {
         ASSERT_TRUE(
             BlockReader::ParseColumnar(&fault.read_as, bytes, &reader).ok());
       }
+      const Schema key_schema(
+          std::vector<Column>(fault.read_as.columns().begin(),
+                              fault.read_as.columns().begin() + 3),
+          /*num_key_columns=*/3);
+      BlockReader keys;
+      if (format == 0) {
+        ASSERT_TRUE(BlockReader::Parse(&key_schema, image, &keys).ok());
+      }
+      BlockReader& ref = format == 0 ? keys : reader;
       size_t failures = 0;
       for (size_t i = 0; i < reader.num_rows(); i++) {
-        Row key;
-        const Status want = reader.KeyAt(i, &key);
+        Row row;
+        const Status want = ref.RowAt(i, &row);
         std::string sort_key;
         const Status got = reader.SortKeyAt(i, &sort_key);
         ASSERT_EQ(got.ToString(), want.ToString()) << "row " << i;
         if (want.ok()) {
           std::string expect;
-          EncodeSortKey(&expect, fault.read_as, key);
+          EncodeSortKey(&expect, fault.read_as, row);
           ASSERT_EQ(sort_key, expect) << "row " << i;
           continue;
         }

@@ -3,6 +3,8 @@
 // read, corruption detection, and descending cursors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/tablet_reader.h"
 #include "core/tablet_writer.h"
 #include "env/mem_env.h"
@@ -32,35 +34,105 @@ TEST(BlockTest, BuildParseRoundTrip) {
   EXPECT_EQ(row[3].i64(), 990);
 }
 
+// Parses a finished block image in its format (0 row-wise, 2 columnar).
+void ParseBlock(const Schema* s, uint32_t format, std::string image,
+                BlockReader* reader) {
+  ASSERT_TRUE((format == 2 ? BlockReader::ParseColumnar(s, std::move(image),
+                                                        reader)
+                           : BlockReader::Parse(s, std::move(image), reader))
+                  .ok());
+}
+
 TEST(BlockTest, SeekFirstSemantics) {
   Schema s = UsageSchema();
-  BlockBuilder builder(&s);
-  // Devices 0,2,4,...,18 under network 1.
-  for (int i = 0; i < 10; i++) builder.Add(UsageRow(1, 2 * i, 100, 0, 0));
-  BlockReader reader;
-  ASSERT_TRUE(BlockReader::Parse(&s, builder.Finish(), &reader).ok());
-  size_t idx;
-  // Exact hit, inclusive.
-  ASSERT_TRUE(reader.SeekFirst({Value::Int64(1), Value::Int64(6)}, true, &idx).ok());
-  EXPECT_EQ(idx, 3u);
-  // Exact hit, exclusive skips equal rows.
-  ASSERT_TRUE(reader.SeekFirst({Value::Int64(1), Value::Int64(6)}, false, &idx).ok());
-  EXPECT_EQ(idx, 4u);
-  // Between keys.
-  ASSERT_TRUE(reader.SeekFirst({Value::Int64(1), Value::Int64(7)}, true, &idx).ok());
-  EXPECT_EQ(idx, 4u);
-  // Before all.
-  ASSERT_TRUE(reader.SeekFirst({Value::Int64(0)}, true, &idx).ok());
-  EXPECT_EQ(idx, 0u);
-  // After all.
-  ASSERT_TRUE(reader.SeekFirst({Value::Int64(2)}, true, &idx).ok());
-  EXPECT_EQ(idx, 10u);
-  // Whole-network prefix: inclusive lands on first row of network 1.
-  ASSERT_TRUE(reader.SeekFirst({Value::Int64(1)}, true, &idx).ok());
-  EXPECT_EQ(idx, 0u);
-  // Exclusive with a bare network prefix skips the entire network.
-  ASSERT_TRUE(reader.SeekFirst({Value::Int64(1)}, false, &idx).ok());
-  EXPECT_EQ(idx, 10u);
+  for (uint32_t format : {0u, 2u}) {
+    SCOPED_TRACE("format " + std::to_string(format));
+    BlockBuilder builder(&s, format);
+    // Devices 0,2,4,...,18 under network 1.
+    for (int i = 0; i < 10; i++) builder.Add(UsageRow(1, 2 * i, 100, 0, 0));
+    BlockReader reader;
+    ParseBlock(&s, format, builder.Finish(), &reader);
+    size_t idx;
+    // Exact hit, inclusive.
+    ASSERT_TRUE(
+        reader.SeekFirst({Value::Int64(1), Value::Int64(6)}, true, &idx).ok());
+    EXPECT_EQ(idx, 3u);
+    // Exact hit, exclusive skips equal rows.
+    ASSERT_TRUE(
+        reader.SeekFirst({Value::Int64(1), Value::Int64(6)}, false, &idx).ok());
+    EXPECT_EQ(idx, 4u);
+    // Between keys.
+    ASSERT_TRUE(
+        reader.SeekFirst({Value::Int64(1), Value::Int64(7)}, true, &idx).ok());
+    EXPECT_EQ(idx, 4u);
+    // Before all.
+    ASSERT_TRUE(reader.SeekFirst({Value::Int64(0)}, true, &idx).ok());
+    EXPECT_EQ(idx, 0u);
+    // After all.
+    ASSERT_TRUE(reader.SeekFirst({Value::Int64(2)}, true, &idx).ok());
+    EXPECT_EQ(idx, 10u);
+    // Whole-network prefix: inclusive lands on first row of network 1.
+    ASSERT_TRUE(reader.SeekFirst({Value::Int64(1)}, true, &idx).ok());
+    EXPECT_EQ(idx, 0u);
+    // Exclusive with a bare network prefix skips the entire network.
+    ASSERT_TRUE(reader.SeekFirst({Value::Int64(1)}, false, &idx).ok());
+    EXPECT_EQ(idx, 10u);
+    // A full key, exclusive: past the one equal row.
+    ASSERT_TRUE(reader
+                    .SeekFirst({Value::Int64(1), Value::Int64(18),
+                                Value::Ts(100)},
+                               false, &idx)
+                    .ok());
+    EXPECT_EQ(idx, 10u);
+  }
+
+  // String keys: empty strings, embedded 0x00 and 0xFF bytes and strings
+  // that prefix each other, with one- and two-cell prefixes, inclusive and
+  // exclusive, checked against a linear scan with CompareKeyToPrefix.
+  s = testutil::EventSchema();
+  const std::vector<std::string> names = {
+      "", "a", std::string("a\0", 2), std::string("a\0b", 3), "a\xff",
+      "ab", "b"};
+  std::vector<Row> rows;
+  for (const std::string& name : names) {
+    for (Timestamp ts : {10, 20}) {
+      rows.push_back(testutil::EventRow(name, ts, "p"));
+    }
+  }
+  std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    return s.CompareKeys(a, b) < 0;
+  });
+  std::vector<Key> prefixes;
+  for (const std::string& name :
+       {std::string(), std::string("a"), std::string("a\0", 2),
+        std::string("a\0a", 3), std::string("a\x01"), std::string("a\xff"),
+        std::string("a\xff\xff"), std::string("aa"), std::string("c")}) {
+    prefixes.push_back({Value::String(name)});
+    for (Timestamp ts : {5, 10, 15, 20, 25}) {
+      prefixes.push_back({Value::String(name), Value::Ts(ts)});
+    }
+  }
+  for (uint32_t format : {0u, 2u}) {
+    BlockBuilder builder(&s, format);
+    for (const Row& row : rows) builder.Add(row);
+    BlockReader reader;
+    ParseBlock(&s, format, builder.Finish(), &reader);
+    for (const Key& prefix : prefixes) {
+      for (bool or_equal : {true, false}) {
+        size_t want = 0;
+        while (want < rows.size()) {
+          const int c = s.CompareKeyToPrefix(rows[want], prefix);
+          if (or_equal ? c >= 0 : c > 0) break;
+          want++;
+        }
+        size_t idx;
+        ASSERT_TRUE(reader.SeekFirst(prefix, or_equal, &idx).ok());
+        EXPECT_EQ(idx, want) << "format " << format << " prefix "
+                             << prefix.size() << " cells, or_equal "
+                             << or_equal;
+      }
+    }
+  }
 }
 
 TEST(BlockTest, StoreLoadDetectsCorruption) {
