@@ -14,6 +14,8 @@
 #include "env/mem_env.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/wire.h"
+#include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/lzmini.h"
 #include "util/random.h"
@@ -51,37 +53,47 @@ void BM_RowEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RowEncodeDecode)->Arg(64)->Arg(1024);
 
-// DecodeRow alone, on rows shaped like perfbench's usage table: 11 columns
-// (ints, timestamps, doubles, an int32) and one 60-90 B string tag, each
-// decoded into a fresh Row as Client::Query does.
+// Rows shaped like perfbench's usage table: 11 columns (ints, timestamps,
+// doubles, an int32) and one 60-90 B string tag.
+Schema UsageBenchSchema() {
+  return Schema({Column("network", ColumnType::kInt64),
+                 Column("device", ColumnType::kInt64),
+                 Column("ts", ColumnType::kTimestamp),
+                 Column("prev_ts", ColumnType::kTimestamp),
+                 Column("sent_bytes", ColumnType::kInt64),
+                 Column("recv_bytes", ColumnType::kInt64),
+                 Column("packets", ColumnType::kInt64),
+                 Column("rate", ColumnType::kDouble),
+                 Column("peak_rate", ColumnType::kDouble),
+                 Column("clients", ColumnType::kInt32),
+                 Column("tag", ColumnType::kString)},
+                3);
+}
+
+Row UsageBenchRow(Random* rng, int64_t network, int64_t device, int64_t ts,
+                  char tag) {
+  return {Value::Int64(network), Value::Int64(device), Value::Ts(ts),
+          Value::Ts(ts - 20000000),
+          Value::Int64(static_cast<int64_t>(rng->Uniform(1ull << 40))),
+          Value::Int64(static_cast<int64_t>(rng->Uniform(1ull << 40))),
+          Value::Int64(static_cast<int64_t>(rng->Uniform(1ull << 30))),
+          Value::Double(rng->NextDouble() * 1e6),
+          Value::Double(rng->NextDouble() * 2e6),
+          Value::Int32(static_cast<int32_t>(rng->Uniform(64))),
+          Value::String(std::string(60 + rng->Uniform(31), tag))};
+}
+
+// DecodeRow alone, on usage-shaped rows, each decoded into a fresh Row as
+// Client::Query does.
 void BM_DecodeRow(benchmark::State& state) {
-  const Schema schema({Column("network", ColumnType::kInt64),
-                       Column("device", ColumnType::kInt64),
-                       Column("ts", ColumnType::kTimestamp),
-                       Column("prev_ts", ColumnType::kTimestamp),
-                       Column("sent_bytes", ColumnType::kInt64),
-                       Column("recv_bytes", ColumnType::kInt64),
-                       Column("packets", ColumnType::kInt64),
-                       Column("rate", ColumnType::kDouble),
-                       Column("peak_rate", ColumnType::kDouble),
-                       Column("clients", ColumnType::kInt32),
-                       Column("tag", ColumnType::kString)},
-                      3);
+  const Schema schema = UsageBenchSchema();
   Random rng(11);
   std::string encoded;
   const int kRows = 256;
   for (int i = 0; i < kRows; i++) {
     const int64_t ts = 1700000000000000 + int64_t{i} * 20000000;
     EncodeRow(&encoded, schema,
-              {Value::Int64(i / 64), Value::Int64(i), Value::Ts(ts),
-               Value::Ts(ts - 20000000),
-               Value::Int64(static_cast<int64_t>(rng.Uniform(1ull << 40))),
-               Value::Int64(static_cast<int64_t>(rng.Uniform(1ull << 40))),
-               Value::Int64(static_cast<int64_t>(rng.Uniform(1ull << 30))),
-               Value::Double(rng.NextDouble() * 1e6),
-               Value::Double(rng.NextDouble() * 2e6),
-               Value::Int32(static_cast<int32_t>(rng.Uniform(64))),
-               Value::String(std::string(60 + rng.Uniform(31), 'a' + i % 26))});
+              UsageBenchRow(&rng, i / 64, i, ts, static_cast<char>('a' + i % 26)));
   }
   for (auto _ : state) {
     Slice in(encoded);
@@ -185,6 +197,36 @@ void BM_MemTabletInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MemTabletInsert);
+
+// MemTablet insert in perfbench ingest's arrival order: 6144 devices
+// polled in order each 10 s tick, so arrival is tick-major while keys are
+// device-major, and each insert lands in a different place of the index
+// instead of at its end.
+void BM_MemTabletInsertInterleaved(benchmark::State& state) {
+  auto schema = std::make_shared<const Schema>(BenchSchema());
+  Random rng(3);
+  constexpr uint64_t kDevices = 6144;
+  uint64_t i = 0;
+  auto mt = std::make_unique<MemTablet>(1, schema, Period{0, 1LL << 60}, 0);
+  for (auto _ : state) {
+    const uint64_t device = i % kDevices;
+    const uint64_t tick = i / kDevices;
+    i++;
+    Row row = {Value::Int64(static_cast<int64_t>(device >> 8)),
+               Value::Int64(static_cast<int64_t>(device)),
+               Value::Ts(static_cast<Timestamp>(1700000000000000ull +
+                                                tick * 10000000)),
+               Value::Blob(rng.Bytes(64))};
+    if (!mt->Insert(std::move(row))) abort();
+    if (mt->num_rows() > 100000) {
+      state.PauseTiming();
+      mt = std::make_unique<MemTablet>(1, schema, Period{0, 1LL << 60}, 0);
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemTabletInsertInterleaved);
 
 void BM_TabletScan(benchmark::State& state) {
   MemEnv env;
@@ -419,6 +461,54 @@ void BM_TableInsertBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 128);
 }
 BENCHMARK(BM_TableInsertBatch);
+
+// The kInsert path minus the socket: kInsert bodies of range(0) usage-shaped
+// rows, in perfbench ingest's arrival order (6144 devices polled in order
+// each 10 s tick), through LittleTableServer::Handle — body parse, group
+// commit, MemTablet insert, and the flushes that sealed tablets trigger.
+// Building each body is not timed.
+void BM_InsertWireBatch(benchmark::State& state) {
+  MemEnv env;
+  const Timestamp start = 1700000000000000;
+  auto clock = std::make_shared<SimClock>(start);
+  DbOptions opts;
+  opts.background_maintenance = false;
+  std::unique_ptr<DB> db;
+  if (!DB::Open(&env, clock, "/db", opts, &db).ok()) abort();
+  const Schema schema = UsageBenchSchema();
+  if (!db->CreateTable("usage", schema).ok()) abort();
+  const uint32_t version = db->GetTable("usage")->schema()->version();
+  LittleTableServer server(db.get(), 0);
+  Random rng(13);
+  constexpr int64_t kDevices = 6144;
+  const int rows = static_cast<int>(state.range(0));
+  int64_t next = 0;
+  std::string body, out;
+  for (auto _ : state) {
+    state.PauseTiming();
+    body.clear();
+    PutLengthPrefixedSlice(&body, "usage");
+    PutVarint32(&body, version);
+    PutVarint32(&body, static_cast<uint32_t>(rows));
+    for (int k = 0; k < rows; k++, next++) {
+      const int64_t device = next % kDevices;
+      const int64_t ts = start + (next / kDevices) * 10000000;
+      EncodeRow(&body, schema,
+                UsageBenchRow(&rng, device / 64, device, ts,
+                              static_cast<char>('a' + device % 26)));
+    }
+    clock->Set(start + (next / kDevices) * 10000000);
+    out.clear();
+    state.ResumeTiming();
+    server.Handle(wire::MsgType::kInsert, Slice(body), &out);
+    if (out.size() < 5 ||
+        static_cast<wire::MsgType>(out[4]) != wire::MsgType::kOk) {
+      abort();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_InsertWireBatch)->Arg(512)->Iterations(1000);
 
 }  // namespace
 }  // namespace lt

@@ -280,32 +280,26 @@ void ReplicaAgent::PromoteLocked(std::unique_lock<std::mutex>& lock) {
 // ---------------------------------------------------------------------------
 // Routed client traffic (primary).
 
-bool ReplicaAgent::CanonicalizeInsert(Slice body, std::string* canonical) {
+bool CanonicalizeInsert(DB* db, Slice body, std::string* canonical) {
   Slice in = body;
   Slice name;
-  uint32_t version, count;
+  uint32_t version;
   if (!GetLengthPrefixedSlice(&in, &name)) return false;
-  std::shared_ptr<Table> table = db_->GetTable(name.ToString());
+  std::shared_ptr<Table> table = db->GetTable(name.ToString());
   if (!table) return false;
   std::shared_ptr<const Schema> schema = table->schema();
   if (!GetVarint32(&in, &version) || version != schema->version()) {
     return false;
   }
-  if (!GetVarint32(&in, &count) || count > 10u * 1000 * 1000) return false;
-  std::string outb;
-  PutLengthPrefixedSlice(&outb, name);
-  PutVarint32(&outb, version);
-  PutVarint32(&outb, count);
-  const Timestamp now = db_->clock()->Now();
-  for (uint32_t i = 0; i < count; i++) {
-    Row row;
-    if (!DecodeRow(&in, *schema, &row).ok()) return false;
-    if (row[schema->ts_index()].AsInt() == wire::kOmittedTimestamp) {
-      row[schema->ts_index()] = Value::Ts(now);
-    }
-    EncodeRow(&outb, *schema, row);
+  RowBatch batch;
+  if (!wire::ParseInsertRows(&in, *schema, db->clock()->Now(), &batch).ok()) {
+    return false;
   }
-  *canonical = std::move(outb);
+  canonical->clear();
+  PutLengthPrefixedSlice(canonical, name);
+  PutVarint32(canonical, version);
+  PutVarint32(canonical, static_cast<uint32_t>(batch.size()));
+  canonical->append(batch.row_bytes());
   return true;
 }
 
@@ -328,7 +322,7 @@ void ReplicaAgent::HandleRoutedInsert(Slice body, std::string* out) {
     return ReplyErr(out, ErrCode::kServerBusy, "replication window full");
   }
   std::string canonical;
-  if (!CanonicalizeInsert(body, &canonical)) {
+  if (!CanonicalizeInsert(db_, body, &canonical)) {
     // Unparseable against the current schema: forward untouched. Dispatch
     // produces the proper error and nothing is acked, so nothing needs
     // buffering.

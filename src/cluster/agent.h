@@ -53,6 +53,13 @@ namespace cluster {
 void EncodeTabletMeta(std::string* dst, const TabletMeta& m);
 bool DecodeTabletMeta(Slice* in, TabletMeta* m);
 
+/// Rewrites a kInsert body (name, schema version, rows) for `db` with
+/// server-assigned timestamps substituted and every cell canonical, so a
+/// primary's redo copy replays byte-identically. Returns false on any
+/// parse problem (the request is then forwarded untouched — it will fail
+/// dispatch the same way, and nothing gets acked or buffered).
+bool CanonicalizeInsert(DB* db, Slice body, std::string* canonical);
+
 struct AgentOptions {
   /// Port to serve on (0 = ephemeral).
   uint16_t port = 0;
@@ -123,12 +130,6 @@ class ReplicaAgent {
   /// node's current role. On mismatch writes kWrongShard and returns
   /// false. `need` is the role the request requires.
   bool CheckRouted(Slice* body, Role need, std::string* out);
-
-  /// Rewrites an insert body with server-assigned timestamps substituted,
-  /// so the redo copy replays byte-identically. Returns false on any
-  /// parse problem (the request is then forwarded untouched — it will
-  /// fail dispatch the same way, and nothing gets acked or buffered).
-  bool CanonicalizeInsert(Slice body, std::string* canonical);
 
   void ReplyErr(std::string* out, wire::ErrCode code, const std::string& msg);
   static bool FirstFrameIsOk(const std::string& frames);

@@ -390,42 +390,78 @@ void Table::RecordMergeFailureLocked(Timestamp now) {
 // ---------------------------------------------------------------------------
 // Inserts.
 
-Status Table::CheckUnique(const Row& row,
-                          const std::set<std::string>& batch_keys) {
-  std::shared_ptr<const Schema> schema;
+Status Table::CheckUnique(const RowBatch& batch, const Schema& schema,
+                          SortKeySet* group_keys) {
+  // Fast path 1 (§3.4.4): newer than every existing row — provable from
+  // cached metadata alone. Common because most applications timestamp
+  // rows with the current time. One read of that metadata covers the
+  // batch.
+  bool has_rows;
+  Timestamp max_row_ts;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    has_rows = has_rows_;
+    max_row_ts = max_row_ts_;
+  }
+  // Rows [0, dup) are new to the group; row `dup` repeats an earlier key
+  // of this batch or of an accepted batch. The rows of [0, dup) that the
+  // fast path cannot clear fall through to the table checks, in row
+  // order, so the first failing row decides the status as in a serial
+  // row-by-row check.
+  const size_t n = batch.size();
+  size_t dup = n;
+  std::vector<size_t> fall_through;
+  for (size_t i = 0; i < n; i++) {
+    if (!group_keys->insert(batch.sort_key(i)).second) {
+      dup = i;
+      break;
+    }
+    if (has_rows && batch.ts(i) <= max_row_ts) fall_through.push_back(i);
+  }
+  Status s;
+  size_t passed = dup;  // Rows before the first failure.
+  size_t checked = 0;   // Rows of [0, passed) that fell through.
+  for (size_t i : fall_through) {
+    s = CheckUniqueInTablets(batch, i, schema);
+    if (!s.ok()) {
+      passed = i;
+      break;
+    }
+    checked++;
+  }
+  if (passed > checked) stats_.unique_by_newest_ts.fetch_add(passed - checked);
+  if (s.ok() && dup < n) {
+    stats_.duplicates_rejected.fetch_add(1);
+    s = Status::AlreadyExists("duplicate key within batch");
+  }
+  // A rejected batch's keys are rolled back so it cannot shadow a later
+  // batch.
+  if (!s.ok()) {
+    for (size_t i = 0; i < dup; i++) group_keys->erase(batch.sort_key(i));
+  }
+  return s;
+}
+
+Status Table::CheckUniqueInTablets(const RowBatch& batch, size_t i,
+                                   const Schema& schema) {
+  const Slice sort_key = batch.sort_key(i);
+  const Timestamp ts = batch.ts(i);
   std::vector<std::shared_ptr<TabletReader>> candidates;
   Key full_key;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    schema = schema_;
-    full_key = schema->KeyOf(row);
-    std::string enc;
-    EncodeKey(&enc, *schema, full_key);
-    if (batch_keys.count(enc)) {
-      stats_.duplicates_rejected.fetch_add(1);
-      return Status::AlreadyExists("duplicate key within batch");
-    }
-    Timestamp ts = row[schema->ts_index()].AsInt();
-    // Fast path 1 (§3.4.4): newer than every existing row — provable from
-    // cached metadata alone. Common because most applications timestamp
-    // rows with the current time.
-    if (!has_rows_ || ts > max_row_ts_) {
-      stats_.unique_by_newest_ts.fetch_add(1);
-      return Status::OK();
-    }
     // In-memory tablets: exact, cheap checks.
-    auto check_mem = [&](const std::shared_ptr<MemTablet>& mt) -> bool {
-      return !mt->empty() && mt->min_ts() <= ts && ts <= mt->max_ts() &&
-             mt->ContainsKey(row);
-    };
     bool in_mem = false;
     ForEachMemTabletLocked([&](const std::shared_ptr<MemTablet>& mt) {
-      in_mem = in_mem || check_mem(mt);
+      in_mem = in_mem || (!mt->empty() && mt->min_ts() <= ts &&
+                          ts <= mt->max_ts() && mt->ContainsKey(sort_key));
     });
     if (in_mem) {
       stats_.duplicates_rejected.fetch_add(1);
       return Status::AlreadyExists("duplicate key");
     }
+    Slice row = batch.row(i);
+    LT_RETURN_IF_ERROR(DecodeKey(&row, schema, &full_key));
     // Fast path 2: within the row's time period, larger than every
     // tablet's max key — provable from cached indexes alone. A duplicate
     // shares the full key including ts, so only tablets whose timespan
@@ -445,7 +481,7 @@ Status Table::CheckUnique(const Row& row,
         doomed.emplace_back(m.filename, std::move(ls));
         continue;
       }
-      int c = CompareFullKeys(*schema, it->second->max_key(), full_key);
+      int c = CompareFullKeys(schema, it->second->max_key(), full_key);
       if (c == 0) {
         stats_.duplicates_rejected.fetch_add(1);
         return Status::AlreadyExists("duplicate key");
@@ -470,7 +506,7 @@ Status Table::CheckUnique(const Row& row,
     QueryBounds bounds = QueryBounds::ForPrefix(full_key);
     std::unique_ptr<Cursor> cursor;
     LT_RETURN_IF_ERROR(
-        reader->NewCursor(bounds, schema.get(), nullptr, &cursor));
+        reader->NewCursor(bounds, &schema, nullptr, &cursor));
     if (cursor->Valid()) {
       stats_.duplicates_rejected.fetch_add(1);
       return Status::AlreadyExists("duplicate key");
@@ -496,12 +532,23 @@ constexpr size_t kMaxInsertGroupRows = 65536;
 
 Status Table::InsertBatch(const std::vector<Row>& rows) {
   if (rows.empty()) return Status::OK();
+  InsertWaiter me(nullptr, &rows);
+  return Commit(&me);
+}
+
+Status Table::InsertEncoded(const RowBatch& batch) {
+  if (batch.empty()) return Status::OK();
+  InsertWaiter me(&batch, nullptr);
+  return Commit(&me);
+}
+
+Status Table::Commit(InsertWaiter* waiter) {
+  InsertWaiter& me = *waiter;
   const Timestamp op_start = MonotonicMicros();
 
   // Group commit: enqueue, then either wait for a leader to carry this
   // batch or become the leader at the queue front. Latency is recorded per
   // caller — a follower's wait is part of its user-visible insert time.
-  InsertWaiter me(&rows);
   std::unique_lock<std::mutex> lock(writers_mu_);
   writers_.push_back(&me);
   while (!me.done && &me != writers_.front()) {
@@ -518,11 +565,11 @@ Status Table::InsertBatch(const std::vector<Row>& rows) {
   std::vector<InsertWaiter*> group;
   size_t group_rows = 0;
   for (InsertWaiter* w : writers_) {
-    if (!group.empty() && group_rows + w->rows->size() > kMaxInsertGroupRows) {
+    if (!group.empty() && group_rows + w->size() > kMaxInsertGroupRows) {
       break;
     }
     group.push_back(w);
-    group_rows += w->rows->size();
+    group_rows += w->size();
   }
   lock.unlock();
 
@@ -564,41 +611,40 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
 
   std::shared_ptr<const Schema> schema = this->schema();
 
-  // Validate and uniqueness-check each batch independently. group_keys
-  // accumulates the keys of batches already accepted in this group: they
-  // are not yet in any memtablet, so CheckUnique's fast paths cannot see
-  // them, and a cross-batch duplicate must be caught here exactly as it
-  // would have been had the batches run serially (earlier queue position
-  // wins). A rejected batch's keys are rolled back so it cannot shadow a
-  // later batch.
-  std::set<std::string> group_keys;
-  std::vector<InsertWaiter*> accepted;
-  size_t accepted_rows = 0;
+  // Uniqueness-check each batch independently. group_keys accumulates the
+  // sort keys of batches already accepted in this group — slices into
+  // those batches, which live until the group ends: they are not yet in
+  // any memtablet, so the §3.4.4 fast paths cannot see them, and a
+  // cross-batch duplicate must be caught here exactly as it would have
+  // been had the batches run serially (earlier queue position wins).
+  // Row batches are encoded here, against the schema the group commits
+  // under, into batches that live as long as the group.
+  size_t group_rows = 0;
+  std::deque<RowBatch> encoded;
   for (InsertWaiter* w : group) {
-    Status s;
+    group_rows += w->size();
+    w->status = Status::OK();
+    if (w->rows == nullptr) continue;
+    RowBatch& batch = encoded.emplace_back();
+    batch.Reset(schema->version());
     for (const Row& r : *w->rows) {
-      if (!schema->RowMatches(r)) {
-        s = Status::InvalidArgument("row does not match table schema");
-        break;
-      }
+      w->status = batch.AppendRow(*schema, r);
+      if (!w->status.ok()) break;
     }
-    std::vector<std::string> added;
-    if (s.ok()) {
-      for (const Row& r : *w->rows) {
-        s = CheckUnique(r, group_keys);
-        if (!s.ok()) break;
-        std::string enc;
-        EncodeKey(&enc, *schema, schema->KeyOf(r));
-        if (group_keys.insert(enc).second) added.push_back(std::move(enc));
-      }
-    }
-    w->status = s;
-    if (s.ok()) {
-      accepted.push_back(w);
-      accepted_rows += w->rows->size();
-    } else {
-      for (const std::string& enc : added) group_keys.erase(enc);
-    }
+    w->batch = &batch;
+  }
+  SortKeySet group_keys;
+  group_keys.reserve(group_rows);
+  std::vector<InsertWaiter*> accepted;
+  for (InsertWaiter* w : group) {
+    if (!w->status.ok()) continue;
+    // A batch encoded under an older schema version does not match the
+    // table's rows: a §3.5 evolution landed between its parse and its
+    // commit.
+    w->status = w->batch->schema_version() == schema->version()
+                    ? CheckUnique(*w->batch, *schema, &group_keys)
+                    : Status::InvalidArgument("row does not match table schema");
+    if (w->status.ok()) accepted.push_back(w);
   }
 
   if (!accepted.empty()) {
@@ -608,8 +654,9 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
     std::lock_guard<std::mutex> lock(mu_);
     const Timestamp now = clock_->Now();
     for (InsertWaiter* w : accepted) {
-      for (const Row& r : *w->rows) {
-        Timestamp ts = r[schema->ts_index()].AsInt();
+      const RowBatch& batch = *w->batch;
+      for (size_t i = 0; i < batch.size(); i++) {
+        const Timestamp ts = batch.ts(i);
         Period p = PeriodFor(ts, now);
         std::shared_ptr<MemTablet> mt;
         auto it = filling_.find(p.start);
@@ -623,7 +670,7 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
                                            now);
           filling_[p.start] = mt;
         }
-        if (!mt->Insert(r)) {
+        if (!mt->Insert(batch.sort_key(i), batch.row(i), ts, batch.charge(i))) {
           w->status = Status::Aborted("uniqueness race despite insert lock");
           break;
         }
@@ -640,7 +687,7 @@ void Table::RunInsertGroup(const std::vector<InsertWaiter*>& group) {
       }
       if (w->status.ok()) {
         stats_.insert_batches.fetch_add(1);
-        stats_.rows_inserted.fetch_add(w->rows->size());
+        stats_.rows_inserted.fetch_add(batch.size());
       }
     }
   }
@@ -746,11 +793,14 @@ Status Table::FlushSet(std::vector<uint64_t> root_ids) {
     wopts.format_version = opts_.format_version;
     wopts.stats = &stats_;
     TabletWriter writer(env_, TabletPath(fname), mt->schema().get(), wopts);
+    // Each entry decodes into one reused Row for the writer.
     Status s;
-    for (const Row& r : mt->AllRows()) {
-      s = writer.Add(r);
-      if (!s.ok()) break;
-    }
+    Row row;
+    mt->ForEachRow([&](Slice, Slice encoded) {
+      if (!s.ok()) return;
+      s = DecodeRow(&encoded, *mt->schema(), &row);
+      if (s.ok()) s = writer.Add(row);
+    });
     TabletMeta meta;
     if (s.ok()) s = writer.Finish(&meta);
     if (!s.ok()) {
@@ -1183,7 +1233,7 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
     }
   }
   std::vector<std::shared_ptr<TabletReader>> disk;
-  std::vector<std::vector<Row>> mem_snapshots;
+  std::vector<std::unique_ptr<MemTabletCursor>> mem;
   {
     std::lock_guard<std::mutex> lock(mu_);
     schema = schema_;
@@ -1237,9 +1287,8 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
     auto snap = [&](const std::shared_ptr<MemTablet>& mt) {
       if (mt->empty()) return;
       if (!bounds.TsOverlaps(mt->min_ts(), mt->max_ts())) return;
-      std::vector<Row> rows;
-      mt->Snapshot(bounds, &rows);
-      if (!rows.empty()) mem_snapshots.push_back(std::move(rows));
+      auto c = std::make_unique<MemTabletCursor>(mt, bounds);
+      if (c->size() > 0) mem.push_back(std::move(c));
     };
     ForEachMemTabletLocked(snap);
     for (const auto& [fname, why] : doomed) QuarantineTabletLocked(fname, why);
@@ -1251,18 +1300,16 @@ Status Table::NewQueryStream(const QueryBounds& user_bounds,
   if (bounds.limit > 0 && bounds.limit < limit) limit = bounds.limit;
 
   std::vector<std::unique_ptr<Cursor>> cursors;
-  cursors.reserve(disk.size() + mem_snapshots.size());
+  cursors.reserve(disk.size() + mem.size());
   for (const auto& reader : disk) {
     std::unique_ptr<Cursor> c;
     LT_RETURN_IF_ERROR(
         reader->NewCursor(bounds, schema.get(), &qs->scanned_, &c, tr));
     cursors.push_back(std::move(c));
   }
-  for (auto& rows : mem_snapshots) {
-    qs->scanned_.fetch_add(rows.size());
-    cursors.push_back(
-        std::make_unique<VectorCursor>(std::move(rows), bounds.direction,
-                                       schema.get()));
+  for (auto& c : mem) {
+    qs->scanned_.fetch_add(c->size());
+    cursors.push_back(std::move(c));
   }
 
   auto merged = std::make_unique<MergingCursor>(
@@ -1389,7 +1436,7 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
   struct Source {
     Timestamp min_ts, max_ts;
     std::shared_ptr<TabletReader> reader;  // Null for in-memory snapshots.
-    std::vector<Row> rows;
+    std::unique_ptr<MemTabletCursor> mem;
     std::string filename;  // Set for disk sources (quarantine target).
   };
   std::vector<Source> sources;
@@ -1407,15 +1454,15 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
       if (it == readers_.end()) {
         return Status::Aborted("internal: no reader for tablet " + m.filename);
       }
-      sources.push_back(Source{m.min_ts, m.max_ts, it->second, {}, m.filename});
+      sources.push_back(
+          Source{m.min_ts, m.max_ts, it->second, nullptr, m.filename});
     }
     auto snap = [&](const std::shared_ptr<MemTablet>& mt) {
       if (mt->empty() || mt->max_ts() < cutoff) return;
-      std::vector<Row> rows;
-      mt->Snapshot(prefix_bounds, &rows);
-      if (!rows.empty()) {
-        sources.push_back(Source{mt->min_ts(), mt->max_ts(), nullptr,
-                                 std::move(rows)});
+      auto c = std::make_unique<MemTabletCursor>(mt, prefix_bounds);
+      if (c->size() > 0) {
+        sources.push_back(
+            Source{mt->min_ts(), mt->max_ts(), nullptr, std::move(c), {}});
       }
     };
     ForEachMemTabletLocked(snap);
@@ -1470,9 +1517,8 @@ Status Table::LatestRowForPrefix(const Key& prefix, Row* row, bool* found) {
             prefix_bounds, schema.get(), &stats_.rows_scanned, &c));
         cursors.push_back(std::move(c));
       } else {
-        stats_.rows_scanned.fetch_add(src.rows.size());
-        cursors.push_back(std::make_unique<VectorCursor>(
-            std::move(src.rows), Direction::kDescending, schema.get()));
+        stats_.rows_scanned.fetch_add(src.mem->size());
+        cursors.push_back(std::move(src.mem));
       }
     }
     if (cursors.empty()) continue;

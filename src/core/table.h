@@ -25,6 +25,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/bounds.h"
@@ -33,6 +34,7 @@
 #include "core/memtablet.h"
 #include "core/options.h"
 #include "core/query_trace.h"
+#include "core/row_batch.h"
 #include "core/stats.h"
 #include "core/tablet_reader.h"
 #include "env/env.h"
@@ -151,6 +153,12 @@ class Table {
   /// batches — queue order — so durable state matches serial execution.
   Status InsertBatch(const std::vector<Row>& rows);
 
+  /// InsertBatch for rows already encoded (the kInsert path, which never
+  /// builds a Row). A batch encoded under a schema version that is no
+  /// longer the table's is rejected whole, as a Row batch built for the
+  /// old schema is.
+  Status InsertEncoded(const RowBatch& batch);
+
   /// Executes a 2-D bounded scan (§3.1). TTL-expired rows are filtered; the
   /// row limit is min(bounds.limit, server cap), and more_available is set
   /// if the scan stopped at the limit with rows remaining. `trace`
@@ -268,18 +276,36 @@ class Table {
 
   Timestamp ExpiryCutoffLocked(Timestamp now) const;
 
-  /// Uniqueness check for one row (§3.4.4); `batch_keys` carries encoded
-  /// keys earlier in the same batch. May read from disk (slow path).
-  Status CheckUnique(const Row& row, const std::set<std::string>& batch_keys);
+  /// The sort keys of a commit group's accepted rows.
+  using SortKeySet = std::unordered_set<Slice, SliceHash>;
 
-  /// One queued InsertBatch call awaiting (or leading) a commit group.
+  /// Uniqueness check for a batch (§3.4.4). Adds its keys to `group_keys`
+  /// (the keys of earlier batches in the commit group) on success and
+  /// leaves the set as it was on failure. May read from disk (slow path).
+  Status CheckUnique(const RowBatch& batch, const Schema& schema,
+                     SortKeySet* group_keys);
+  /// The check for batch row i that the newest-ts fast path could not
+  /// clear: in-memory tablets, then tablet max keys, Bloom filters and
+  /// point queries.
+  Status CheckUniqueInTablets(const RowBatch& batch, size_t i,
+                              const Schema& schema);
+
+  /// One queued insert awaiting (or leading) a commit group: an encoded
+  /// batch, or Rows that the group's leader encodes into one.
   struct InsertWaiter {
-    explicit InsertWaiter(const std::vector<Row>* r) : rows(r) {}
+    InsertWaiter(const RowBatch* b, const std::vector<Row>* r)
+        : batch(b), rows(r) {}
+    size_t size() const { return rows ? rows->size() : batch->size(); }
+    const RowBatch* batch;
     const std::vector<Row>* rows;
     Status status;
     bool done = false;  // Guarded by writers_mu_.
     std::condition_variable cv;
   };
+
+  /// Queues `waiter` for group commit and waits for its status, leading
+  /// the group when it reaches the queue's front.
+  Status Commit(InsertWaiter* waiter);
 
   /// Executes one commit group under insert_mu_: per-batch validation and
   /// uniqueness (cross-batch duplicates within the group included), one

@@ -1408,31 +1408,13 @@ void LittleTableServer::Dispatch(MsgType type, Slice body, std::string* out) {
       if (version != schema->version()) {
         return ReplyError(out, ErrCode::kSchemaChanged, "schema changed");
       }
-      // Every encoded cell takes at least one byte, so a count the body
-      // cannot hold is rejected before it sizes an allocation.
-      uint32_t count;
-      if (!GetVarint32(&body, &count) || count > 10u * 1000 * 1000 ||
-          count > body.size() / schema->num_columns()) {
-        return ReplyError(out, ErrCode::kInvalidArgument, "bad row count");
-      }
-      std::vector<Row> rows;
-      rows.reserve(count);
-      const Timestamp now = db_->clock()->Now();
-      for (uint32_t i = 0; i < count; i++) {
-        Row row;
-        if (!DecodeRow(&body, *schema, &row).ok()) {
-          return ReplyError(out, ErrCode::kInvalidArgument, "bad row");
-        }
-        // A client may omit a row's timestamp entirely, in which case the
-        // server sets it to the current time (§3.1).
-        if (row[schema->ts_index()].AsInt() == wire::kOmittedTimestamp) {
-          row[schema->ts_index()] = Value::Ts(now);
-        }
-        rows.push_back(std::move(row));
-      }
+      RowBatch batch;
+      Status s = wire::ParseInsertRows(&body, *schema, db_->clock()->Now(),
+                                       &batch);
+      if (!s.ok()) return ReplyStatus(out, s);
       // Concurrent inserts from other connections' workers group-commit
-      // inside InsertBatch (one critical section, statuses fanned out).
-      return ReplyStatus(out, table->InsertBatch(rows));
+      // inside InsertEncoded (one critical section, statuses fanned out).
+      return ReplyStatus(out, table->InsertEncoded(batch));
     }
 
     case MsgType::kQuery: {

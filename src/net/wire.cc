@@ -1,8 +1,10 @@
 #include "net/wire.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "core/row_codec.h"
+#include "core/sort_key.h"
 #include "util/coding.h"
 
 namespace lt {
@@ -32,6 +34,91 @@ Status DecodeKeyPrefix(Slice* in, const Schema& schema, Key* out) {
   out->reserve(n);
   for (uint32_t i = 0; i < n; i++) {
     LT_RETURN_IF_ERROR(DecodeCellInto(in, schema.columns()[i].type, out));
+  }
+  return Status::OK();
+}
+
+Status ParseInsertRows(Slice* in, const Schema& schema, Timestamp now,
+                       RowBatch* batch) {
+  const size_t num_columns = schema.num_columns();
+  uint32_t count;
+  if (!GetVarint32(in, &count) || count > 10u * 1000 * 1000 ||
+      count > in->size() / num_columns) {
+    return Status::InvalidArgument("bad row count");
+  }
+  batch->Reset(schema.version());
+  std::string* keys = batch->mutable_keys();
+  std::string* rows = batch->mutable_rows();
+  // A canonical cell is never longer than the cell it was parsed from.
+  rows->reserve(in->size());
+  const std::vector<Column>& columns = schema.columns();
+  const size_t num_keys = schema.num_key_columns();
+  const size_t ts_index = schema.ts_index();
+  char buf[10];
+  for (uint32_t r = 0; r < count; r++) {
+    size_t charge = RowChargeBase(num_columns);
+    Timestamp ts = 0;
+    for (size_t c = 0; c < num_columns; c++) {
+      const ColumnType type = columns[c].type;
+      uint64_t u;
+      switch (type) {
+        case ColumnType::kInt32:
+        case ColumnType::kInt64:
+        case ColumnType::kTimestamp: {
+          if (!GetVarint64(in, &u)) return Status::InvalidArgument("bad row");
+          int64_t v = ZigZagDecode(u);
+          if (type == ColumnType::kInt32 && (v < INT32_MIN || v > INT32_MAX)) {
+            return Status::InvalidArgument("bad row");
+          }
+          if (c == ts_index) {
+            // A client may omit a row's timestamp entirely, in which case
+            // the server sets it to the current time (§3.1).
+            if (v == kOmittedTimestamp) {
+              v = now;
+              u = ZigZagEncode(now);
+            }
+            ts = v;
+          }
+          rows->append(buf, static_cast<size_t>(EncodeVarint64(buf, u) - buf));
+          if (c < num_keys) keys->append(buf, static_cast<size_t>(
+                                                  PutSortKeyInt(buf, v) - buf));
+          break;
+        }
+        case ColumnType::kDouble: {
+          if (in->size() < 8) return Status::InvalidArgument("bad row");
+          rows->append(in->data(), 8);
+          if (c < num_keys) {
+            double d;
+            memcpy(&d, in->data(), 8);
+            keys->append(buf,
+                         static_cast<size_t>(PutSortKeyDouble(buf, d) - buf));
+          }
+          in->remove_prefix(8);
+          break;
+        }
+        case ColumnType::kString:
+        case ColumnType::kBlob: {
+          if (!GetVarint64(in, &u) || in->size() < u) {
+            return Status::InvalidArgument("bad row");
+          }
+          const Slice bytes(in->data(), static_cast<size_t>(u));
+          rows->append(buf, static_cast<size_t>(EncodeVarint64(buf, u) - buf));
+          rows->append(bytes.data(), bytes.size());
+          if (c < num_keys) {
+            const size_t at = keys->size();
+            keys->resize(at + MaxSortKeyBytesLen(bytes.size()));
+            char* end = PutSortKeyBytes(keys->data() + at, bytes);
+            keys->resize(static_cast<size_t>(end - keys->data()));
+          }
+          charge += RowChargeBytesCell(bytes.size());
+          in->remove_prefix(bytes.size());
+          break;
+        }
+        default:
+          return Status::InvalidArgument("bad row");
+      }
+    }
+    batch->FinishRow(ts, charge);
   }
   return Status::OK();
 }

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/bounds.h"
+#include "core/row_batch.h"
 #include "core/schema.h"
 
 namespace lt {
@@ -165,6 +166,17 @@ Status DecodeBounds(Slice* in, const Schema& schema, QueryBounds* out);
 /// Key prefixes (used by bounds and latest-row requests).
 void EncodeKeyPrefix(std::string* dst, const Schema& schema, const Key& key);
 Status DecodeKeyPrefix(Slice* in, const Schema& schema, Key* out);
+
+/// Parses the rest of a kInsert body after the schema version — the
+/// varint32 row count, then the rows — in one pass into *batch, for
+/// `schema`'s version. Each row's timestamp, if omitted
+/// (kOmittedTimestamp), becomes `now`, and the batch holds each row's
+/// EncodeRow bytes: the canonical encoding of the parsed cells, so a
+/// non-minimal varint comes out minimal. InvalidArgument "bad row count"
+/// for a count the body cannot hold (every cell takes at least one byte)
+/// and "bad row" for a malformed cell; trailing bytes are ignored.
+Status ParseInsertRows(Slice* in, const Schema& schema, Timestamp now,
+                       RowBatch* batch);
 
 /// The head of a kQueryChunk body; `count` EncodeRow rows follow it.
 struct ChunkHeader {

@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -65,6 +66,13 @@ class Slice {
 inline bool operator==(const Slice& a, const Slice& b) {
   return a.size() == b.size() && memcmp(a.data(), b.data(), a.size()) == 0;
 }
+/// Hashes a Slice's bytes, for unordered containers of slices.
+struct SliceHash {
+  size_t operator()(const Slice& s) const {
+    return std::hash<std::string_view>()(s.view());
+  }
+};
+
 inline bool operator!=(const Slice& a, const Slice& b) { return !(a == b); }
 
 }  // namespace lt

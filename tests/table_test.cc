@@ -522,6 +522,49 @@ TEST_F(TableTest, WidenColumnAcrossFlushedData) {
   EXPECT_EQ(result.rows[1][2].i64(), 1LL << 40);
 }
 
+// A batch encoded against schema version v that commits after a §3.5
+// evolution (the kInsert race: the body parsed before AppendColumn or
+// WidenColumn took insert_mu_) is rejected whole, with the status a Row
+// batch built for v gets, and applies nothing.
+TEST_F(TableTest, BatchEncodedBeforeSchemaChangeRejectedWhole) {
+  for (bool widen : {false, true}) {
+    SCOPED_TRACE(widen ? "WidenColumn" : "AppendColumn");
+    Schema narrow({Column("k", ColumnType::kInt64),
+                   Column("ts", ColumnType::kTimestamp),
+                   Column("n", ColumnType::kInt32)},
+                  2);
+    const std::string dir = widen ? "/db/race_widen" : "/db/race_append";
+    std::unique_ptr<Table> t;
+    ASSERT_TRUE(Table::Create(&env_, clock_, dir, "race", narrow, opts_, &t)
+                    .ok());
+    ASSERT_TRUE(
+        t->InsertBatch({{Value::Int64(0), Value::Ts(Now()), Value::Int32(1)}})
+            .ok());
+    std::vector<Row> rows;
+    for (int i = 1; i <= 3; i++) {
+      rows.push_back({Value::Int64(i), Value::Ts(Now() + i), Value::Int32(i)});
+    }
+    std::shared_ptr<const Schema> v = t->schema();
+    RowBatch batch;
+    batch.Reset(v->version());
+    for (const Row& r : rows) ASSERT_TRUE(batch.AppendRow(*v, r).ok());
+
+    ASSERT_TRUE((widen ? t->WidenColumn("n")
+                       : t->AppendColumn(Column("extra", ColumnType::kInt64)))
+                    .ok());
+    ASSERT_NE(t->schema()->version(), v->version());
+    const Status encoded = t->InsertEncoded(batch);
+    const Status row_batch = t->InsertBatch(rows);
+    EXPECT_TRUE(encoded.IsInvalidArgument()) << encoded.ToString();
+    EXPECT_EQ(encoded.ToString(), row_batch.ToString());
+
+    QueryResult all;
+    ASSERT_TRUE(t->Query(QueryBounds{}, &all).ok());
+    EXPECT_EQ(all.rows.size(), 1u);
+    EXPECT_EQ(t->stats().rows_inserted.load(), 1u);
+  }
+}
+
 TEST_F(TableTest, SetTtlPersists) {
   ASSERT_TRUE(table_->SetTtl(3 * kMicrosPerWeek).ok());
   Reopen();
